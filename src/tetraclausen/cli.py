@@ -32,6 +32,7 @@ import sys
 from fractions import Fraction
 
 from .mpcore import DomainError, PrecisionCtx, to_decimal
+from .quad import QuadratureError
 from . import feynman, identities, polylog, pslq
 
 __all__ = ["main", "parse_number", "REPORT_SCHEMA"]
@@ -219,33 +220,35 @@ def _run_feynman(args, ctx):
         computed["closed"] = feynman.c_closed(m, ctx)
         values["c_closed"] = to_decimal(computed["closed"], ctx)
         lines.append("c_closed    = " + values["c_closed"])
+    steps = None
+    if args.method in ("stepwise", "all"):
+        # With all routes the same sweep gives c_direct, held to its tolerance.
+        steps = feynman.stepwise(m, ctx, direct_tol=tol / 10 if args.method == "all" else None)
     if args.method in ("direct", "all"):
-        quad_tol = tol / 10 if args.method == "all" else tol
-        res = feynman.c_direct(m, quad_tol, ctx)
+        res = feynman.c_direct(m, tol, ctx) if steps is None else steps.direct
         computed["direct"] = res.value
         values["c_direct"] = to_decimal(res.value, ctx)
         values["c_direct.error_estimate"] = to_decimal(res.error_estimate, ctx)
         lines.append("c_direct    = %s  (error estimate %s, %d evaluations)"
                      % (values["c_direct"], values["c_direct.error_estimate"],
                         res.evaluations))
-    if args.method in ("stepwise", "all"):
-        report = feynman.stepwise(m, ctx)
-        computed["stepwise"] = report.c_from_steps
-        values["c_stepwise"] = to_decimal(report.c_from_steps, ctx)
+    if steps is not None:
+        computed["stepwise"] = steps.c_from_steps
+        values["c_stepwise"] = to_decimal(steps.c_from_steps, ctx)
         lines.append("c_stepwise  = " + values["c_stepwise"])
         step_tol = ctx.pow10(-ctx.digits + 10)
         for name in ("I1", "I2", "I3", "I4"):
-            values[name + ".closed"] = to_decimal(report.i_closed[name], ctx)
-            values[name + ".quadrature"] = to_decimal(report.i_quad[name].value, ctx)
-            residual = report.match_residuals[name]
+            values[name + ".closed"] = to_decimal(steps.i_closed[name], ctx)
+            values[name + ".quadrature"] = to_decimal(steps.i_quad[name].value, ctx)
+            residual = steps.match_residuals[name]
             results.append(_result(name + "-closed-vs-quadrature",
-                                   residual < step_tol + report.i_quad[name].error_estimate,
+                                   residual < step_tol + steps.i_quad[name].error_estimate,
                                    to_decimal(residual, ctx), 1))
-        i12 = abs(report.i1_plus_i2_closed)
-        values["i1_plus_i2.closed"] = to_decimal(report.i1_plus_i2_closed, ctx)
-        values["i1_plus_i2.quadrature"] = to_decimal(report.i1_plus_i2_quad, ctx)
+        i12 = abs(steps.i1_plus_i2_closed)
+        values["i1_plus_i2.closed"] = to_decimal(steps.i1_plus_i2_closed, ctx)
+        values["i1_plus_i2.quadrature"] = to_decimal(steps.i1_plus_i2_quad, ctx)
         results.append(_result("i1-plus-i2", i12 < step_tol, to_decimal(i12, ctx), 1))
-        for label, vec in (("q", report.q), ("r", report.r), ("s", report.s)):
+        for label, vec in (("q", steps.q), ("r", steps.r), ("s", steps.s)):
             for name, (angle, value) in vec.items():
                 values[name] = to_decimal(value, ctx)
                 values[name + ".angle"] = to_decimal(angle, ctx)
@@ -296,10 +299,6 @@ def _run_verify(args, ctx):
     return code, report, lines
 
 
-_R_PAIRS = (("r2", "r9"), ("r5", "r11"), ("r4", "r13"),
-            ("r1", "r15"), ("r8", "r17"), ("r6", "r18"))
-
-
 def _run_pslq(args, ctx):
     if bool(args.builtin) == bool(args.values_from):
         raise UsageError("pslq needs exactly one of --builtin or --values-from")
@@ -333,12 +332,7 @@ def _run_pslq(args, ctx):
             raise UsageError("need at least 2 values in %s" % args.values_from)
         record("values-from", vals, expect_found=False)
     elif args.builtin == "conj14":
-        al = ctx.atan(1 / ctx.sqrt(2))
-        be = ctx.atan(ctx.sqrt(8) + ctx.sqrt(3))
-        vec = [polylog.cl2(2 * be - 2 * al, ctx), polylog.cl2(ctx.pi - 4 * al, ctx),
-               polylog.cl2(ctx.pi - 2 * be, ctx), polylog.cl2(ctx.pi + 2 * al, ctx),
-               polylog.cl2(4 * al, ctx)]
-        record("conj14", vec, expect_found=True)
+        record("conj14", identities.conj14_values(ctx), expect_found=True)
     else:
         if args.a is None or args.b is None:
             raise UsageError("--builtin %s requires --a and --b" % args.builtin)
@@ -349,9 +343,9 @@ def _run_pslq(args, ctx):
             record("qs", [qv["q%d" % i][1] for i in range(1, 14)], expect_found=True)
         else:
             rv = feynman.r_vector(ang, ctx)
-            for left, right in _R_PAIRS:
-                record("%s,%s" % (left, right), [rv[left][1], rv[right][1]],
-                       expect_found=True)
+            for _, combo in feynman.R_RELATIONS:
+                names = [name for name, _ in combo]
+                record(",".join(names), [rv[name][1] for name in names], expect_found=True)
 
     code = 0 if all(r["status"] in ("pass", "conjecture-ok") for r in results) else 1
     report = {"tool": "pslq", "digits": ctx.digits, "seed": args.seed,
@@ -372,7 +366,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except (DomainError, OSError, KeyError, ValueError) as exc:
+    except (DomainError, OSError, KeyError, ValueError,
+            QuadratureError, feynman.RouteMismatchError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     _emit(report, args, lines)

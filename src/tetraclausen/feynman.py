@@ -16,6 +16,10 @@ the four pieces are evaluated both by quadrature and by their Clausen
 closed forms, and the intermediate q/r/s Clausen-value vectors are exposed
 together with the relations among them.
 
+``c_direct`` and ``stepwise`` share one quadrature sweep per panel: their
+integrands differ only in the weight 1/w, 1/(w+a) or 1/(w(w+a)), so each
+panel is integrated once with all three (see ``StepReport.direct``).
+
 ``c_closed`` evaluates the eight-term closed form
 
     C(a,b) = 8/(ab sqrt(4-a^2-b^2)) { Cl2(4phi) + Cl2(2phi_a+2phi_b-2phi)
@@ -32,7 +36,7 @@ from fractions import Fraction
 
 from .mpcore import DomainError, PrecisionCtx, round_out, to_decimal
 from .polylog import cl2
-from .quad import QuadratureResult, integrate
+from .quad import QuadratureError, QuadratureResult, integrate
 
 __all__ = [
     "MassPair",
@@ -90,9 +94,6 @@ class DerivedAngles:
     c: object          # sqrt(4 - b^2)
     d: object          # sqrt(4 - a^2 - b^2)
     p: object          # a + b + 2
-    f: object          # sqrt((2+b)/(2-b))
-    u1: object         # f
-    u2: object         # f + sqrt(2b/(2-b))
     alpha1: object
     alpha2: object
     alpha3: object
@@ -152,12 +153,10 @@ def derive(m: MassPair, ctx: PrecisionCtx) -> DerivedAngles:
     c = ctx.sqrt(4 - b * b)
     d = ctx.sqrt(4 - a * a - b * b)
     p = a + b + 2
-    f = ctx.sqrt((2 + b) / (2 - b))
-    u2 = f + ctx.sqrt(2 * b / (2 - b))
     root_b = ctx.sqrt(2 * b * b + 4 * b)
 
     ang = DerivedAngles(
-        a=a, b=b, c=c, d=d, p=p, f=f, u1=f, u2=u2,
+        a=a, b=b, c=c, d=d, p=p,
         alpha1=ctx.asin(ctx.sqrt((2 - b) / (2 + b))),
         alpha2=ctx.atan(c / b),
         alpha3=ctx.asin(a / c),
@@ -348,22 +347,29 @@ def _closed_sums(ang: DerivedAngles, ctx: PrecisionCtx) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature forms of the four reduced integrals (and the defining pair).
+# Quadrature forms of the four reduced integrals and the defining pair.
 #
-# All four integrands contain sqrt(w^2+b^2-4) = sqrt(w^2-c^2); the finite
-# panels [2, 2+b] are integrated in the shifted variable v = w - 2 and the
-# semi-infinite ones in v = w - (2+b), so that distances to the singular or
+# All integrands contain sqrt(w^2+b^2-4) = sqrt(w^2-c^2); the finite panel
+# [2, 2+b] is integrated in the shifted variable v = w - 2 and the
+# semi-infinite one in v = w - (2+b), so that distances to the singular or
 # boundary endpoint enter exactly.  Near w = 2 the arctanh argument tends to
 # -1; arctanh is expanded as log((1+r)/(1-r))/2 with
-
+#
 #   1 + r = (A+B)/A,  A = w sqrt(S), B = w^2-4-2b,
 #   A + B = (b+2)^2 v (v+4) / (A - B),
 #
 # which is exact up to rounding (A - B never cancels on the panel).
 # ---------------------------------------------------------------------------
 
-def _finite_panel_integrand(a, b, ctx, weight):
-    """Integrand of the [2, 2+b] panel in v = w-2; weight in {'w(w+a)','w','w+a'}."""
+def _weighted(atanh_term, w, a, root):
+    """The arctanh term over w, w+a and w(w+a), each times root."""
+    w_root = w * root
+    return (atanh_term / w_root, atanh_term / ((w + a) * root),
+            atanh_term / (w_root * (w + a)))
+
+
+def _finite_panel_integrand(a, b, ctx):
+    """Integrand of the [2, 2+b] panel in v = w-2."""
     mp = ctx._mp
     bp2 = (b + 2) ** 2
 
@@ -374,19 +380,12 @@ def _finite_panel_integrand(a, b, ctx, weight):
         big_a = w * root
         big_b = v * (v + 4) - 2 * b          # w^2 - 4 - 2b
         diff = big_a - big_b
-        atanh_term = mp.log(bp2 * v * (v + 4) / (diff * diff)) / 2
-        if weight == "w(w+a)":
-            den = w * (w + a) * root
-        elif weight == "w":
-            den = w * root
-        else:
-            den = (w + a) * root
-        return atanh_term / den
+        return _weighted(mp.log(bp2 * v * (v + 4) / (diff * diff)) / 2, w, a, root)
 
     return f
 
 
-def _tail_panel_integrand(a, b, ctx, weight):
+def _tail_panel_integrand(a, b, ctx):
     """Integrand of the [2+b, inf) panel in v = w-(2+b)."""
     mp = ctx._mp
 
@@ -395,43 +394,45 @@ def _tail_panel_integrand(a, b, ctx, weight):
         s_val = v * (v + 2 * (2 + b)) + 2 * b * (b + 2)   # w^2 + b^2 - 4
         root = mp.sqrt(s_val)
         t = b / root
-        atanh_term = mp.log((1 + t) / (1 - t)) / 2
-        if weight == "w(w+a)":
-            den = w * (w + a) * root
-        elif weight == "w":
-            den = w * root
-        else:
-            den = (w + a) * root
-        return atanh_term / den
+        return _weighted(mp.log((1 + t) / (1 - t)) / 2, w, a, root)
 
     return f
+
+
+def _sweep(a, b, ctx: PrecisionCtx, tol, direct_tol):
+    """``(finite, tail, direct)``: each panel integrated once to ``tol`` with
+    the weights 1/w, 1/(w+a), 1/(w(w+a)), and C(a,b) from the last weight.
+    ``tol`` is tightened where needed for the direct value to meet
+    ``direct_tol`` (either may be None, not both), else QuadratureError."""
+    prefactor = 16 / b
+    if direct_tol is not None:
+        direct_tol = ctx.mpf(direct_tol)
+        panel_tol = max(direct_tol / (2 * prefactor), ctx.pow10(-ctx.digits + 5))
+        tol = panel_tol if tol is None else min(tol, panel_tol)
+    finite = integrate(_finite_panel_integrand(a, b, ctx), (0, b), tol, ctx)
+    tail = integrate(_tail_panel_integrand(a, b, ctx), (0, ctx.inf), tol, ctx)
+    value = -prefactor * (finite[2].value + tail[2].value)
+    # The panel values and C are each rounded to ``digits``, by at most u
+    # relative; the estimate covers that as well as the quadrature error.
+    u = ctx._mp.mpf(2) ** -ctx.prec_out
+    err = prefactor * (finite[2].error_estimate + tail[2].error_estimate
+                       + 2 * u * (abs(finite[2].value) + abs(tail[2].value)))
+    direct = QuadratureResult(round_out(value, ctx), round_out(err, ctx),
+                              finite.evaluations + tail.evaluations)
+    if direct_tol is not None and err > direct_tol:
+        # Possible when the per-panel tolerance clamps at the quadrature floor
+        # (small b inflates the 16/b prefactor); never report silent success.
+        raise QuadratureError(
+            "combined panel error %s exceeds requested tol; raise digits"
+            % to_decimal(err, ctx), result=direct)
+    return finite, tail, direct
 
 
 def c_direct(m: MassPair, tol, ctx: PrecisionCtx) -> QuadratureResult:
     """C(a,b) by quadrature of the defining pair of integrals."""
     a, b = ctx.mpf(m.a), ctx.mpf(m.b)
     _validate_region(a, b, ctx)
-    tol = ctx.mpf(tol)
-    prefactor = 16 / b
-    panel_tol = tol / (2 * prefactor)
-    floor = ctx.pow10(-ctx.digits + 5)
-    if panel_tol < floor:
-        panel_tol = floor
-    r1 = integrate(_finite_panel_integrand(a, b, ctx, "w(w+a)"), (0, b), panel_tol, ctx)
-    r2 = integrate(_tail_panel_integrand(a, b, ctx, "w(w+a)"), (0, ctx.inf), panel_tol, ctx)
-    value = -prefactor * (r1.value + r2.value)
-    err = prefactor * (r1.error_estimate + r2.error_estimate)
-    result = QuadratureResult(round_out(value, ctx), round_out(err, ctx),
-                              r1.evaluations + r2.evaluations)
-    if err > tol:
-        # Possible when the per-panel tolerance clamps at the quadrature floor
-        # (small b inflates the 16/b prefactor); never report silent success.
-        from .quad import QuadratureError
-
-        raise QuadratureError(
-            "combined panel error %s exceeds requested tol; raise digits"
-            % to_decimal(err, ctx), result=result)
-    return result
+    return _sweep(a, b, ctx, None, tol)[2]
 
 
 def c_closed(m: MassPair, ctx: PrecisionCtx):
@@ -458,6 +459,7 @@ class StepReport:
     r: dict
     s: dict
     c_from_steps: object  # 16/(ab) (I3+I4), closed forms
+    direct: QuadratureResult  # C(a,b) from the defining integrals, same sweep
     i1_plus_i2_closed: object
     i1_plus_i2_quad: object
     match_residuals: dict  # name -> |closed - quad|
@@ -493,28 +495,26 @@ class StepReport:
         return out
 
 
-def stepwise(m: MassPair, ctx: PrecisionCtx, tol=None) -> StepReport:
+def stepwise(m: MassPair, ctx: PrecisionCtx, tol=None, direct_tol=None) -> StepReport:
     """Evaluate I1..I4 by quadrature and closed form, with the q/r/s vectors.
+
+    The sweep that integrates I1..I4 to ``tol`` also gives ``report.direct``,
+    C(a,b) from the defining integrals; with ``direct_tol`` it is held to
+    what ``c_direct(m, direct_tol, ctx)`` guarantees, or raises as that would.
 
     Raises :class:`RouteMismatchError` naming the integral if any closed form
     disagrees with its quadrature beyond 10^(-digits+10) plus the quadrature's
     own error estimate.
     """
-    a, b = ctx.mpf(m.a), ctx.mpf(m.b)
-    _validate_region(a, b, ctx)
     ang = derive(m, ctx)
+    a, b = ang.a, ang.b
     match_tol = ctx.pow10(-ctx.digits + 10)
     if tol is None:
         tol = match_tol / 4
     tol = ctx.mpf(tol)
 
-    integrands = {
-        "I1": (_tail_panel_integrand(a, b, ctx, "w"), (0, ctx.inf)),
-        "I2": (_finite_panel_integrand(a, b, ctx, "w"), (0, b)),
-        "I3": (_tail_panel_integrand(a, b, ctx, "w+a"), (0, ctx.inf)),
-        "I4": (_finite_panel_integrand(a, b, ctx, "w+a"), (0, b)),
-    }
-    i_quad = {name: integrate(f, dom, tol, ctx) for name, (f, dom) in integrands.items()}
+    finite, tail, direct = _sweep(a, b, ctx, tol, direct_tol)
+    i_quad = {"I1": tail[0], "I2": finite[0], "I3": tail[1], "I4": finite[1]}
     i_closed = {name: cs.evaluate(ctx) for name, cs in _closed_sums(ang, ctx).items()}
 
     residuals = {}
@@ -534,6 +534,7 @@ def stepwise(m: MassPair, ctx: PrecisionCtx, tol=None) -> StepReport:
         r=r_vector(ang, ctx),
         s=s_vector(ang, ctx),
         c_from_steps=c_steps,
+        direct=direct,
         i1_plus_i2_closed=round_out(i_closed["I1"] + i_closed["I2"], ctx),
         i1_plus_i2_quad=round_out(i_quad["I1"].value + i_quad["I2"].value, ctx),
         match_residuals=residuals,

@@ -36,6 +36,7 @@ __all__ = [
     "verify",
     "broadhurst_series",
     "appendix_chain",
+    "conj14_values",
     "PASS_EXPONENT_MARGIN",
 ]
 
@@ -138,12 +139,17 @@ def _conj_13(params, ctx):
                - 2 * cl2(pi + 2 * al, ctx))
 
 
-def _conj_14(params, ctx):
+def conj14_values(ctx):
+    """The five Cl2 values of conj-1.4, in the order of its relation."""
     al, be = _alpha(ctx), _beta(ctx)
     pi = ctx.pi
-    return abs(-12 * cl2(2 * be - 2 * al, ctx) + 4 * cl2(pi - 4 * al, ctx)
-               - 12 * cl2(pi - 2 * be, ctx) - 18 * cl2(pi + 2 * al, ctx)
-               + 7 * cl2(4 * al, ctx))
+    return [cl2(2 * be - 2 * al, ctx), cl2(pi - 4 * al, ctx), cl2(pi - 2 * be, ctx),
+            cl2(pi + 2 * al, ctx), cl2(4 * al, ctx)]
+
+
+def _conj_14(params, ctx):
+    v = conj14_values(ctx)
+    return abs(-12 * v[0] + 4 * v[1] - 12 * v[2] - 18 * v[3] + 7 * v[4])
 
 
 def _theorem_1(params, ctx):

@@ -6,10 +6,10 @@ The Clausen function is evaluated from the integrated cotangent expansion
 
 after reduction to (0, pi] by oddness and periodicity, with one duplication
 step pulling arguments in (2pi/3, pi] back below 2pi/3 so the series ratio
-never exceeds 1/9.  Bernoulli numbers come from the classical recurrence
-over exact rationals, computed once per process and shared by every
-precision (per-precision coefficient tables are derived from them and
-cached write-once).
+never exceeds 1/9.  The series coefficients are exact rationals built from
+mpmath's Bernoulli numbers (``bernfrac``, which reconstructs each B_2k from
+a numerical value by the von Staudt-Clausen theorem) and rounded once per
+working precision into cached tables.
 
 A second, independent evaluation route, :func:`cl2_series_reference`, sums
 the defining series sum sin(n t)/n^2 directly and completes it with the
@@ -24,10 +24,10 @@ elementary functions and serves as its cross-check oracle.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 from mpmath import libmp
 
 from .mpcore import DomainError, PrecisionCtx, get_ctx, round_out
@@ -44,54 +44,24 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# Bernoulli numbers: b[m] = B_m / m! as exact fractions (B_1 = -1/2).
-# Recurrence: b_m = -sum_{j<m} b_j / (m+1-j)!,  from sum_j C(m+1,j) B_j = 0.
-# The list only ever grows; entries are immutable.
-# ---------------------------------------------------------------------------
-
-_B_OVER_FACT: list = [Fraction(1)]
-_INV_FACT: list = [Fraction(1), Fraction(1)]
-# Guards cache growth (readers never see mutation).  Reentrant: growing a
-# coefficient table pulls Bernoulli numbers under the same lock.
-_CACHE_LOCK = threading.RLock()
-
-
-def _inv_fact(k: int) -> Fraction:
-    while len(_INV_FACT) <= k:
-        n = len(_INV_FACT)
-        _INV_FACT.append(_INV_FACT[n - 1] / n)
-    return _INV_FACT[k]
-
-
 def bernoulli_over_factorial(m: int) -> Fraction:
-    """Exact B_m / m!."""
-    if len(_B_OVER_FACT) > m:
-        return _B_OVER_FACT[m]
-    with _CACHE_LOCK:
-        while len(_B_OVER_FACT) <= m:
-            k = len(_B_OVER_FACT)
-            acc = Fraction(0)
-            for j in range(k):
-                bj = _B_OVER_FACT[j]
-                if bj:
-                    acc += bj * _inv_fact(k + 1 - j)
-            _B_OVER_FACT.append(-acc)
-    return _B_OVER_FACT[m]
+    """Exact B_m / m! (with B_1 = -1/2)."""
+    return Fraction(*mpmath.bernfrac(m)) / math.factorial(m)
 
 
 # Per-precision series coefficients, keyed by working precision in bits.
+# Tables are tuples, grown by building a longer one and publishing it in one
+# dict assignment: a concurrent reader sees the old table or the new, and two
+# threads growing one at once only repeat work that gives identical entries.
 _CL2_COEFFS: dict = {}
 _LI2_W_COEFFS: dict = {}
 
 
 def _grow_coeffs(cache: dict, prec: int, n: int, make):
-    coeffs = cache.setdefault(prec, [])
-    if len(coeffs) >= n:
-        return coeffs
-    with _CACHE_LOCK:
-        while len(coeffs) < n:
-            coeffs.append(make(len(coeffs) + 1))
+    coeffs = cache.get(prec, ())
+    if len(coeffs) < n:
+        coeffs += tuple(make(k) for k in range(len(coeffs) + 1, n + 1))
+        cache[prec] = coeffs
     return coeffs
 
 

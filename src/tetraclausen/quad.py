@@ -14,6 +14,10 @@ exactly at ``lo`` or ``hi``.
 
 Levels halve the mesh and reuse previous abscissas.  Convergence is declared
 when two successive level sums differ by less than ``tol/2``.
+
+An integrand may return a tuple of reals; its components then share the
+nodes and the node loop, and convergence and the tail cut-off wait for the
+slowest one.  A scalar integrand is the one-component case of that loop.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from dataclasses import dataclass
 
 from .mpcore import PrecisionCtx, round_out
 
-__all__ = ["QuadratureResult", "QuadratureError", "integrate", "MAX_LEVELS"]
+__all__ = ["QuadratureResult", "QuadratureResults", "QuadratureError", "integrate",
+           "MAX_LEVELS"]
 
 # Doublings of the mesh before giving up (~2^12 points per panel at the cap).
 MAX_LEVELS = 12
@@ -40,10 +45,20 @@ class QuadratureResult:
     evaluations: int
 
 
-class QuadratureError(ArithmeticError):
-    """Quadrature failure; carries the best available result when one exists."""
+class QuadratureResults(tuple):
+    """One :class:`QuadratureResult` per component of a tuple integrand;
+    ``evaluations`` is the integrand call count they share."""
 
-    def __init__(self, message, result: QuadratureResult | None = None):
+    @property
+    def evaluations(self) -> int:
+        return self[0].evaluations
+
+
+class QuadratureError(ArithmeticError):
+    """Quadrature failure; carries the best available result (or results)
+    when one exists."""
+
+    def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
 
@@ -147,10 +162,15 @@ def _es_level(prec: int, level: int):
 
 
 # ---------------------------------------------------------------------------
-# Level sums.
+# Level sums of a tuple-valued ``f``: lists with one entry per component, or
+# None when no node of the level lies strictly inside the domain.
 # ---------------------------------------------------------------------------
 
-def _sum_level_finite(f, lo, hi, halfw, prec, level, tiny, counter):
+def _add(u, v):
+    return v if u is None else [p + q for p, q in zip(u, v)]
+
+
+def _sum_level_finite(f, lo, hi, halfw, prec, level, tiny):
     nodes = _ts_level(prec, level)
     total = None
     run = 0
@@ -160,25 +180,22 @@ def _sum_level_finite(f, lo, hi, halfw, prec, level, tiny, counter):
         x_right = hi - d
         contrib = None
         if x_left > lo and x_left < hi:
-            counter[0] += 1
-            contrib = weight * f(x_left)
+            contrib = [weight * y for y in f(x_left)]
         if not is_center and x_right > lo and x_right < hi:
-            counter[0] += 1
-            fr = weight * f(x_right)
-            contrib = fr if contrib is None else contrib + fr
+            contrib = _add(contrib, [weight * y for y in f(x_right)])
         if contrib is None:
             break
-        total = contrib if total is None else total + contrib
-        if abs(contrib) < tiny:
+        total = _add(total, contrib)
+        if max(map(abs, contrib)) < tiny:
             run += 1
             if run >= _TAIL_RUN:
                 break
         else:
             run = 0
-    return total if total is not None else lo * 0
+    return total
 
 
-def _sum_level_semiinf(f, lo, prec, level, tiny, counter):
+def _sum_level_semiinf(f, lo, prec, level, tiny):
     nodes = _es_level(prec, level)
     total = None
     run_pos = _TAIL_RUN  # separate tail detection per direction
@@ -188,40 +205,41 @@ def _sum_level_semiinf(f, lo, prec, level, tiny, counter):
         if run_pos > 0:
             x = lo + r_pos
             if x > lo:
-                counter[0] += 1
-                c = w_pos * f(x)
+                c = [w_pos * y for y in f(x)]
                 contrib = c
-                run_pos = run_pos - 1 if abs(c) < tiny else _TAIL_RUN
+                run_pos = run_pos - 1 if max(map(abs, c)) < tiny else _TAIL_RUN
         if r_neg is not None and run_neg > 0:
             x = lo + r_neg
             if x > lo:
-                counter[0] += 1
-                c = w_neg * f(x)
-                contrib = c if contrib is None else contrib + c
-                run_neg = run_neg - 1 if abs(c) < tiny else _TAIL_RUN
+                c = [w_neg * y for y in f(x)]
+                contrib = _add(contrib, c)
+                run_neg = run_neg - 1 if max(map(abs, c)) < tiny else _TAIL_RUN
         if contrib is not None:
-            total = contrib if total is None else total + contrib
+            total = _add(total, contrib)
         if run_pos <= 0 and run_neg <= 0:
             break
-    return total if total is not None else lo * 0
+    return total
 
 
 # ---------------------------------------------------------------------------
 # Public entry point.
 # ---------------------------------------------------------------------------
 
-def integrate(f, domain, tol, ctx: PrecisionCtx, max_levels: int = MAX_LEVELS) -> QuadratureResult:
+def integrate(f, domain, tol, ctx: PrecisionCtx, max_levels: int = MAX_LEVELS):
     """Integrate ``f`` over ``domain = (lo, hi)`` to absolute tolerance ``tol``.
 
     ``hi`` may be ``ctx.inf`` (or the string ``"inf"``) for a semi-infinite
-    domain.  ``f`` receives working-precision reals and must return one; it
-    may diverge integrably at the endpoints but is never called there.
+    domain.  ``f`` receives working-precision reals and must return one, or
+    a tuple of them; it may diverge integrably at the endpoints but is never
+    called there.
 
     Returns a :class:`QuadratureResult` whose ``error_estimate`` bounds
-    ``|value - true integral|`` and is at most ``tol`` on success.  Raises
-    :class:`QuadratureError` (carrying the best result) if the level cap is
-    reached without convergence, or if the integrand fails at an interior
-    point.
+    ``|value - true integral|`` and is at most ``tol`` on success; for a
+    tuple integrand, :class:`QuadratureResults` with one per component, all
+    sharing one ``evaluations`` count (an empty domain calls nothing and
+    returns one result).  Raises :class:`QuadratureError` (carrying the best result) if
+    the level cap is reached without convergence, or if the integrand fails
+    at an interior point.
     """
     mp = ctx._mp
     lo, hi = domain
@@ -244,44 +262,53 @@ def integrate(f, domain, tol, ctx: PrecisionCtx, max_levels: int = MAX_LEVELS) -
 
     prec = ctx.prec_work
     tiny = mp.mpf(2) ** (-prec - 10) + tol * mp.mpf(10) ** -8
-    counter = [0]
+    evaluations = 0
+    is_tuple = False
     halfw = (hi - lo) / 2 if not semi_infinite else None
+
+    def components(x):
+        nonlocal evaluations, is_tuple
+        evaluations += 1
+        y = f(x)
+        is_tuple = isinstance(y, tuple)
+        return y if is_tuple else (y,)
 
     def level_sum(m):
         try:
             if semi_infinite:
-                return _sum_level_semiinf(f, lo, prec, m, tiny, counter)
-            return _sum_level_finite(f, lo, hi, halfw, prec, m, tiny, counter)
+                return _sum_level_semiinf(components, lo, prec, m, tiny)
+            return _sum_level_finite(components, lo, hi, halfw, prec, m, tiny)
         except QuadratureError:
             raise
         except (ArithmeticError, ValueError) as exc:
             raise QuadratureError("integrand evaluation failed: %s" % exc) from exc
 
+    def results(values, errors):
+        out = tuple(QuadratureResult(round_out(v, ctx), round_out(e, ctx), evaluations)
+                    for v, e in zip(values, errors))
+        return QuadratureResults(out) if is_tuple else out[0]
+
     scale = halfw if not semi_infinite else mp.mpf(1)
     s_prev = None
-    value = None
-    err = None
     for m in range(max_levels + 1):
         h = mp.mpf(2) ** (-m)
-        partial = level_sum(m) * h * scale
-        s_m = partial if s_prev is None else s_prev / 2 + partial
-        if s_prev is not None:
-            diff = abs(s_m - s_prev)
-            value = s_m
-            err = diff
-            if m >= 2 and diff < tol / 2:
-                floor = mp.mpf(2) ** (-prec + 4) * (1 + abs(s_m))
-                est = diff if diff > floor else floor
-                return QuadratureResult(round_out(s_m, ctx), round_out(est, ctx), counter[0])
+        sums = level_sum(m)
+        if sums is None:  # no node of this level lies inside the domain
+            sums = [lo * 0] * (len(s_prev) if s_prev else 1)
+        partial = [s * h * scale for s in sums]
+        if s_prev is None:
+            s_m, diffs = partial, [abs(s) for s in partial]
+        else:
+            s_m = [p / 2 + q for p, q in zip(s_prev, partial)]
+            diffs = [abs(p - q) for p, q in zip(s_m, s_prev)]
+            if m >= 2 and all(diff < tol / 2 for diff in diffs):
+                floors = [mp.mpf(2) ** (-prec + 4) * (1 + abs(s)) for s in s_m]
+                return results(s_m, [diff if diff > floor else floor
+                                     for diff, floor in zip(diffs, floors)])
         s_prev = s_m
 
-    best = QuadratureResult(
-        round_out(value if value is not None else s_prev, ctx),
-        round_out(err if err is not None else abs(s_prev), ctx),
-        counter[0],
-    )
     raise QuadratureError(
         "no convergence to tol=%s after %d levels (best estimate %s)"
-        % (mp.nstr(tol, 3), max_levels, mp.nstr(best.error_estimate, 3)),
-        result=best,
+        % (mp.nstr(tol, 3), max_levels, mp.nstr(max(diffs), 3)),
+        result=results(s_prev, diffs),
     )

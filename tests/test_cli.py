@@ -5,6 +5,7 @@ import sys
 import jsonschema
 import pytest
 
+from tetraclausen import feynman
 from tetraclausen.cli import REPORT_SCHEMA, main, parse_number
 from tetraclausen.mpcore import from_decimal
 from tetraclausen.polylog import cl2
@@ -99,6 +100,35 @@ class TestFeynmanCommand:
     def test_digits_floor_exit_2(self):
         code, _, _ = run_cli(["feynman", "--a", "1", "--b", "1", "--digits", "5"])
         assert code == 2
+
+    def test_all_methods_sweep_each_panel_once(self, capsys, monkeypatch):
+        calls = []
+        real = feynman.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(feynman, "integrate", counting)
+        assert main(["feynman", "--a", "1", "--b", "1", "--method", "all",
+                     "--digits", "30"]) == 0
+        assert len(calls) == 2
+
+    def test_unreachable_direct_tol_exit_2(self, capsys):
+        assert main(["feynman", "--a", "1", "--b", "1", "--method", "direct",
+                     "--tol", "1e-100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_route_mismatch_exit_2(self, capsys, monkeypatch):
+        def mismatch(*args, **kwargs):
+            raise feynman.RouteMismatchError("I3", 1, 2, 1, 0)
+
+        monkeypatch.setattr(feynman, "stepwise", mismatch)
+        assert main(["feynman", "--a", "1", "--b", "1", "--method", "stepwise",
+                     "--digits", "30"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: I3:") and len(err.strip().splitlines()) == 1
 
 
 class TestVerifyCommand:

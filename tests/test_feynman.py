@@ -156,6 +156,7 @@ class TestRoutes:
         assert abs(report.i1_plus_i2_quad) < ctx50.pow10(-25)
         direct = c_direct(m, ctx50.pow10(-30), ctx50)
         assert abs(report.c_from_steps - direct.value) < ctx50.pow10(-25)
+        assert abs(report.direct.value - direct.value) < ctx50.pow10(-25)
         assert abs(report.c_from_steps - c_closed(m, ctx50)) < ctx50.pow10(-40)
 
     def test_stepwise_asymmetric_point(self, ctx50):

@@ -25,6 +25,17 @@ def test_bernoulli_values():
     assert bernoulli_over_factorial(12) * 479001600 == Fraction(-691, 2730)
 
 
+def test_bernoulli_matches_exact_recurrence():
+    # Oracle: sum_{j<=m} C(m+1, j) B_j = 0 over exact rationals.
+    from math import comb, factorial
+
+    b = [Fraction(1)]
+    for m in range(1, 101):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    for m, bm in enumerate(b):
+        assert bernoulli_over_factorial(m) == bm / factorial(m), m
+
+
 class TestCl2:
     def test_zero(self, ctx50):
         assert cl2(0, ctx50) == 0

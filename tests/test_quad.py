@@ -56,6 +56,30 @@ def test_semi_infinite_exponential(ctx50):
         assert abs(r.value - ctx50.exp(-lo)) <= ctx50.mpf(TOL)
 
 
+class TestTupleIntegrand:
+    """Components of one tuple integrand against separate scalar integrals."""
+
+    def check(self, ctx, parts, domain):
+        tol = ctx.mpf(TOL)
+        joint = integrate(lambda x: tuple(g(x) for g in parts), domain, tol, ctx)
+        assert isinstance(joint, tuple) and len(joint) == len(parts)
+        assert all(r.evaluations == joint.evaluations > 0 for r in joint)
+        for g, r in zip(parts, joint):
+            single = integrate(g, domain, tol, ctx)
+            assert r.error_estimate <= tol
+            assert abs(r.value - single.value) <= r.error_estimate + single.error_estimate
+
+    def test_finite_with_log_singularity(self, ctx50):
+        c = ctx50
+        self.check(c, [lambda x: c.log(x), lambda x: c.exp(x), lambda x: c.log(x) / (1 + x)],
+                   (0, 1))
+
+    def test_semi_infinite(self, ctx50):
+        c = ctx50
+        self.check(c, [lambda w: 1 / (w * w), lambda w: c.exp(-w), lambda w: 1 / (w * (w + 1))],
+                   (2, c.inf))
+
+
 def test_empty_interval(ctx50):
     r = integrate(lambda x: 1 / x, (3, 3), ctx50.mpf(TOL), ctx50)
     assert r.value == 0
