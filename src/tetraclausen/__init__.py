@@ -27,7 +27,6 @@ from .polylog import (
     log_tan_integral,
 )
 from .feynman import (
-    ClausenSum,
     DerivedAngles,
     MassPair,
     RouteMismatchError,
@@ -57,7 +56,7 @@ __all__ = [
     "QuadratureError", "QuadratureResult", "integrate",
     "LogTrigClosedForm", "cl2", "cl2_series_reference", "li2",
     "log_sin_product_integral", "log_tan_integral",
-    "ClausenSum", "DerivedAngles", "MassPair", "RouteMismatchError",
+    "DerivedAngles", "MassPair", "RouteMismatchError",
     "StepReport", "c_closed", "c_direct", "derive", "stepwise",
     "InsufficientPrecision", "RelationResult", "check_relation", "find_relation",
     "BroadhurstSeries", "ChainReport", "IdentityReport", "IdentitySpec",

@@ -216,14 +216,15 @@ def _run_feynman(args, ctx):
     lines = []
     computed = {}
 
-    if args.method in ("closed", "all"):
-        computed["closed"] = feynman.c_closed(m, ctx)
-        values["c_closed"] = to_decimal(computed["closed"], ctx)
-        lines.append("c_closed    = " + values["c_closed"])
     steps = None
     if args.method in ("stepwise", "all"):
-        # With all routes the same sweep gives c_direct, held to its tolerance.
+        # With all routes the stepwise report also gives c_closed, from its s
+        # vector, and c_direct, from its sweep held to c_direct's tolerance.
         steps = feynman.stepwise(m, ctx, direct_tol=tol / 10 if args.method == "all" else None)
+    if args.method in ("closed", "all"):
+        computed["closed"] = feynman.c_closed(m, ctx) if steps is None else steps.closed
+        values["c_closed"] = to_decimal(computed["closed"], ctx)
+        lines.append("c_closed    = " + values["c_closed"])
     if args.method in ("direct", "all"):
         res = feynman.c_direct(m, tol, ctx) if steps is None else steps.direct
         computed["direct"] = res.value

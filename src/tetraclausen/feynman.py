@@ -20,6 +20,12 @@ together with the relations among them.
 integrands differ only in the weight 1/w, 1/(w+a) or 1/(w(w+a)), so each
 panel is integrated once with all three (see ``StepReport.direct``).
 
+``stepwise`` also computes each Clausen value once.  The closed forms of
+I1..I4 (``I_CLOSED``) are integer combinations of the q and r values, and
+the eight-term form of C(a,b) below is a sum over the s values.  So one
+``derive`` and the 40 values of the q, r and s vectors give every closed
+form, ``c_closed``'s included (``StepReport.closed``).
+
 ``c_closed`` evaluates the eight-term closed form
 
     C(a,b) = 8/(ab sqrt(4-a^2-b^2)) { Cl2(4phi) + Cl2(2phi_a+2phi_b-2phi)
@@ -32,7 +38,6 @@ with phi = arctan(d/p), phi_a = arctan(d/a), phi_b = arctan(d/b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .mpcore import DomainError, PrecisionCtx, round_out, to_decimal
 from .polylog import cl2
@@ -41,7 +46,6 @@ from .quad import QuadratureError, QuadratureResult, integrate
 __all__ = [
     "MassPair",
     "DerivedAngles",
-    "ClausenSum",
     "StepReport",
     "RouteMismatchError",
     "derive",
@@ -52,6 +56,8 @@ __all__ = [
     "r_vector",
     "s_vector",
     "R_RELATIONS",
+    "I_CLOSED",
+    "closed_integrals",
     "RS_RELATIONS",
     "Q_RELATIONS",
 ]
@@ -69,20 +75,6 @@ class MassPair:
             raise DomainError("masses must be positive")
         if not (self.a * self.a + self.b * self.b < 4):
             raise DomainError("region requires a^2 + b^2 < 4")
-
-
-@dataclass(frozen=True)
-class ClausenSum:
-    """Formal integer/rational-weighted sum of Cl2 values times a prefactor."""
-
-    prefactor: object
-    terms: tuple  # of (Fraction coefficient, angle)
-
-    def evaluate(self, ctx: PrecisionCtx):
-        total = ctx._mp.mpf(0)
-        for coeff, angle in self.terms:
-            total += ctx.mpf(coeff) * cl2(angle, ctx)
-        return round_out(self.prefactor * total, ctx)
 
 
 @dataclass(frozen=True)
@@ -314,36 +306,40 @@ def relation_residual(values: dict, combo) -> object:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms of the four reduced integrals.
+# Closed forms of the four reduced integrals and of C(a,b).
 # ---------------------------------------------------------------------------
 
-def _closed_sums(ang: DerivedAngles, ctx: PrecisionCtx) -> dict:
-    pi = ctx.pi
-    a1, a2 = ang.alpha1, ang.alpha2
-    fr = Fraction
-    i1 = ClausenSum(1 / (4 * ang.c), (
-        (fr(-1), 2 * a1 + 2 * a2), (fr(1), 2 * a1 - 2 * a2), (fr(2), 2 * a2)))
-    i2 = ClausenSum(1 / (2 * ang.c), (
-        (fr(-1), a2 - a1), (fr(1), a2 + a1), (fr(-1), 2 * a2), (fr(-1), pi - 2 * a2),
-        (fr(1), pi - a1 - a2), (fr(-1), pi + a1 - a2), (fr(2), a2), (fr(-2), a1),
-        (fr(2), pi - a2), (fr(-2), pi - a1)))
-    i3 = ClausenSum(1 / (2 * ang.d), (
-        (fr(1), ang.delta2 - ang.alpha4), (fr(-1), ang.delta2 - ang.alpha3),
-        (fr(1), ang.delta1 + ang.alpha3), (fr(-1), ang.delta1 + ang.alpha4),
-        (fr(-1), ang.delta4 - ang.alpha4), (fr(1), ang.delta4 - ang.alpha3),
-        (fr(-1), ang.delta3 + ang.alpha3), (fr(1), ang.delta3 + ang.alpha4)))
-    # I4 comes from applying the log(tan x - tan delta) closed form to the
-    # five linear factors of its integrand with weights +2,+1,+1,-1,-1 for
-    # delta7, delta8, delta9, delta10, delta11; the pure-log parts cancel
-    # identically and the 2alpha6-2delta8 term is Cl2(0) = 0.
-    i4 = ClausenSum(1 / (2 * ang.d), (
-        (fr(2), 2 * ang.alpha6 - 2 * ang.delta7), (fr(-2), 2 * ang.alpha7 - 2 * ang.delta7),
-        (fr(-1), 2 * ang.alpha7 - 2 * ang.delta8), (fr(1), 2 * ang.alpha6 - 2 * ang.delta9),
-        (fr(-1), 2 * ang.alpha7 - 2 * ang.delta9), (fr(-1), 2 * ang.alpha6 - 2 * ang.delta10),
-        (fr(1), 2 * ang.alpha7 - 2 * ang.delta10), (fr(-1), 2 * ang.alpha6 - 2 * ang.delta11),
-        (fr(1), 2 * ang.alpha7 - 2 * ang.delta11), (fr(2), pi - 2 * ang.alpha6),
-        (fr(-2), pi - 2 * ang.alpha7)))
-    return {"I1": i1, "I2": i2, "I3": i3, "I4": i4}
+# Each reduced integral is its prefactor (1/(4c) for I1, 1/(2c) for I2,
+# 1/(2d) for I3 and I4) times an integer combination of q or r values.  I4
+# comes from applying the log(tan x - tan delta) closed form to the five
+# linear factors of its integrand with weights +2,+1,+1,-1,-1 for delta7,
+# delta8, delta9, delta10, delta11; the pure-log parts cancel identically and
+# the 2alpha6-2delta8 term is Cl2(0) = 0.
+I_CLOSED = (
+    ("I1", (("q1", -1), ("q2", 1), ("q3", 2))),
+    ("I2", (("q4", -1), ("q5", 1), ("q6", -1), ("q7", -1), ("q8", 1), ("q9", -1),
+            ("q10", 2), ("q11", -2), ("q12", 2), ("q13", -2))),
+    ("I3", (("r1", 1), ("r2", -1), ("r3", 1), ("r4", -1), ("r5", -1), ("r6", 1),
+            ("r7", -1), ("r8", 1))),
+    ("I4", (("r9", 2), ("r10", -2), ("r11", -1), ("r12", 1), ("r13", -1), ("r14", -1),
+            ("r15", 1), ("r16", -1), ("r17", 1), ("r18", 2), ("r19", -2))),
+)
+
+# The eight-term closed form of C(a,b) over the s values.
+_C_CLOSED = (("s1", 1), ("s2", 1), ("s3", 1), ("s4", 1),
+             ("s5", -1), ("s6", -1), ("s7", -1), ("s8", -1))
+
+
+def closed_integrals(ang: DerivedAngles, values: dict, ctx: PrecisionCtx) -> dict:
+    """The closed forms of those of I1..I4 whose Clausen values are in
+    ``values`` (the q vector gives I1 and I2, the r vector I3 and I4)."""
+    scale = {"I1": 4 * ang.c, "I2": 2 * ang.c, "I3": 2 * ang.d, "I4": 2 * ang.d}
+    return {name: round_out(1 / scale[name] * relation_residual(values, combo), ctx)
+            for name, combo in I_CLOSED if combo[0][0] in values}
+
+
+def _c_from_s(ang: DerivedAngles, s: dict, ctx: PrecisionCtx):
+    return round_out(8 / (ang.a * ang.b * ang.d) * relation_residual(s, _C_CLOSED), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +434,7 @@ def c_direct(m: MassPair, tol, ctx: PrecisionCtx) -> QuadratureResult:
 def c_closed(m: MassPair, ctx: PrecisionCtx):
     """C(a,b) from the eight-term Clausen closed form."""
     ang = derive(m, ctx)
-    sv = s_vector(ang, ctx)
-    total = (sv["s1"][1] + sv["s2"][1] + sv["s3"][1] + sv["s4"][1]
-             - sv["s5"][1] - sv["s6"][1] - sv["s7"][1] - sv["s8"][1])
-    return round_out(8 / (ang.a * ang.b * ang.d) * total, ctx)
+    return _c_from_s(ang, s_vector(ang, ctx), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +443,12 @@ def c_closed(m: MassPair, ctx: PrecisionCtx):
 
 @dataclass(frozen=True)
 class StepReport:
-    """Everything the reduction chain produces for one mass pair."""
+    """Everything the reduction chain produces for one mass pair.
+
+    Each Clausen value is computed once: the q, r and s vectors hold them,
+    ``i_closed`` sums the q and r values by :data:`I_CLOSED`, and ``closed``
+    is ``c_closed``'s eight-term sum over the s values.
+    """
 
     angles: DerivedAngles
     i_quad: dict          # name -> QuadratureResult
@@ -459,6 +457,7 @@ class StepReport:
     r: dict
     s: dict
     c_from_steps: object  # 16/(ab) (I3+I4), closed forms
+    closed: object        # C(a,b) from the eight-term closed form over s
     direct: QuadratureResult  # C(a,b) from the defining integrals, same sweep
     i1_plus_i2_closed: object
     i1_plus_i2_quad: object
@@ -501,6 +500,7 @@ def stepwise(m: MassPair, ctx: PrecisionCtx, tol=None, direct_tol=None) -> StepR
     The sweep that integrates I1..I4 to ``tol`` also gives ``report.direct``,
     C(a,b) from the defining integrals; with ``direct_tol`` it is held to
     what ``c_direct(m, direct_tol, ctx)`` guarantees, or raises as that would.
+    ``report.closed`` equals ``c_closed(m, ctx)``, summed from the s vector.
 
     Raises :class:`RouteMismatchError` naming the integral if any closed form
     disagrees with its quadrature beyond 10^(-digits+10) plus the quadrature's
@@ -515,7 +515,8 @@ def stepwise(m: MassPair, ctx: PrecisionCtx, tol=None, direct_tol=None) -> StepR
 
     finite, tail, direct = _sweep(a, b, ctx, tol, direct_tol)
     i_quad = {"I1": tail[0], "I2": finite[0], "I3": tail[1], "I4": finite[1]}
-    i_closed = {name: cs.evaluate(ctx) for name, cs in _closed_sums(ang, ctx).items()}
+    q, r, s = q_vector(ang, ctx), r_vector(ang, ctx), s_vector(ang, ctx)
+    i_closed = closed_integrals(ang, {**q, **r}, ctx)
 
     residuals = {}
     for name in ("I1", "I2", "I3", "I4"):
@@ -530,10 +531,11 @@ def stepwise(m: MassPair, ctx: PrecisionCtx, tol=None, direct_tol=None) -> StepR
         angles=ang,
         i_quad=i_quad,
         i_closed=i_closed,
-        q=q_vector(ang, ctx),
-        r=r_vector(ang, ctx),
-        s=s_vector(ang, ctx),
+        q=q,
+        r=r,
+        s=s,
         c_from_steps=c_steps,
+        closed=_c_from_s(ang, s, ctx),
         direct=direct,
         i1_plus_i2_closed=round_out(i_closed["I1"] + i_closed["I2"], ctx),
         i1_plus_i2_quad=round_out(i_quad["I1"].value + i_quad["I2"].value, ctx),

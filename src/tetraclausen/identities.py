@@ -205,8 +205,8 @@ def _vector_relations(relations, vectors):
 def _i1_plus_i2(params, ctx):
     m = feynman.MassPair(ctx.mpf(params["a"]), ctx.mpf(params["b"]))
     ang = feynman.derive(m, ctx)
-    sums = feynman._closed_sums(ang, ctx)
-    return abs(sums["I1"].evaluate(ctx) + sums["I2"].evaluate(ctx))
+    closed = feynman.closed_integrals(ang, feynman.q_vector(ang, ctx), ctx)
+    return abs(closed["I1"] + closed["I2"])
 
 
 def _angle_relations(params, ctx):

@@ -2,14 +2,24 @@
 
 The Clausen function is evaluated from the integrated cotangent expansion
 
-    Cl2(t) = t - t*log(t) + sum_{n>=1} |B_{2n}| / (2n (2n+1) (2n)!) * t^(2n+1)
+    Cl2(t) = t - t*log(t) + sum_{k>=1} |B_2k| / (2k (2k+1) (2k)!) * t^(2k+1)
 
 after reduction to (0, pi] by oddness and periodicity, with one duplication
 step pulling arguments in (2pi/3, pi] back below 2pi/3 so the series ratio
-never exceeds 1/9.  The series coefficients are exact rationals built from
-mpmath's Bernoulli numbers (``bernfrac``, which reconstructs each B_2k from
-a numerical value by the von Staudt-Clausen theorem) and rounded once per
-working precision into cached tables.
+never exceeds 1/9.  The series is summed in fixed point: Python integers
+scaled by 2^P, with P = 20 bits beyond the working precision, in the form
+
+    Cl2(t) = t (1 - log t + sum_{k>=1} d_k X^k),   X = (t/2pi)^2,
+    d_k = |B_2k| (2pi)^2k / (2k (2k+1) (2k)!) = zeta(2k) / (k (2k+1)).
+
+The (2pi)^2k scaling is what makes fixed point safe.  Unscaled, the
+coefficients fall like (2pi)^-2k, so at a fixed binary point they would keep
+ever fewer significant bits, while the powers of t grow up to (2pi/3)^2k.
+Scaled, every d_k lies in (0, pi^2/18] and every X^k is at most 9^-k.  The
+coefficients are built from mpmath's Bernoulli numbers (``bernfrac``, which
+reconstructs each B_2k from a numerical value by the von Staudt-Clausen
+theorem) and rounded once per fixed-point precision into cached tables; the
+log term and the final product are single mpf operations.
 
 A second, independent evaluation route, :func:`cl2_series_reference`, sums
 the defining series sum sin(n t)/n^2 directly and completes it with the
@@ -49,11 +59,11 @@ def bernoulli_over_factorial(m: int) -> Fraction:
     return Fraction(*mpmath.bernfrac(m)) / math.factorial(m)
 
 
-# Per-precision series coefficients, keyed by working precision in bits.
-# Tables are tuples, grown by building a longer one and publishing it in one
-# dict assignment: a concurrent reader sees the old table or the new, and two
+# Per-precision series coefficients, keyed by precision in bits.  Tables are
+# tuples, grown by building a longer one and publishing it in one dict
+# assignment: a concurrent reader sees the old table or the new, and two
 # threads growing one at once only repeat work that gives identical entries.
-_CL2_COEFFS: dict = {}
+_CL2_TABLE: dict = {}
 _LI2_W_COEFFS: dict = {}
 
 
@@ -65,12 +75,19 @@ def _grow_coeffs(cache: dict, prec: int, n: int, make):
     return coeffs
 
 
-def _cl2_coeffs(ctx: PrecisionCtx, n: int):
-    """mpf coefficients c[k] = |B_2k|/(2k (2k+1) (2k)!) for k = 1..n."""
-    def make(k):
-        return ctx.mpf(abs(bernoulli_over_factorial(2 * k)) / (2 * k * (2 * k + 1)))
+def _cl2_table(fixed: int, n: int):
+    """Integers d[k] * 2^fixed, rounded, for k = 1..n (d_k in the module doc)."""
+    wp = fixed + 20
+    two_pi_sq = libmp.mpf_shift(libmp.mpf_mul(libmp.mpf_pi(wp), libmp.mpf_pi(wp), wp), 2)
 
-    return _grow_coeffs(_CL2_COEFFS, ctx.prec_work, n, make)
+    def make(k):
+        c = abs(bernoulli_over_factorial(2 * k)) / (2 * k * (2 * k + 1))
+        num = libmp.mpf_mul(libmp.mpf_pow_int(two_pi_sq, k, wp, "n"),
+                            libmp.from_int(c.numerator, wp, "n"), wp, "n")
+        d = libmp.mpf_div(num, libmp.from_int(c.denominator, wp, "n"), wp, "n")
+        return libmp.to_int(libmp.mpf_shift(d, fixed), "n")
+
+    return _grow_coeffs(_CL2_TABLE, fixed, n, make)
 
 
 def _li2_w_coeffs(ctx: PrecisionCtx, n: int):
@@ -85,23 +102,35 @@ def _li2_w_coeffs(ctx: PrecisionCtx, n: int):
 # Clausen function.
 # ---------------------------------------------------------------------------
 
-def _reduce_to_0_pi(theta, ctx: PrecisionCtx):
+def _reduce_to_0_pi(theta, ctx: PrecisionCtx, pi=None):
     """Map theta to (sign, t) with t in [0, pi], using 2pi-periodicity and oddness."""
     mp = ctx._mp
-    two_pi = 2 * ctx.pi
-    k = ctx.nint(theta / two_pi)
+    pi = ctx.pi if pi is None else pi
+    two_pi = 2 * pi
+    prec = ctx.prec_work
+    _, man, exp, bc = theta._mpf_
+    if not man or exp + bc < prec - 8:
+        # theta/2pi has at least 8 bits after the point: k is the nearest
+        # integer or, next to a half-integer, one off, which the wrap below fixes.
+        k = ctx.nint(theta / two_pi)
+    else:
+        # Working precision no longer pins down k.  theta is exact binary
+        # data, so divide at a precision that covers its integer part too.
+        hp = exp + bc + prec + 10
+        pi2 = libmp.mpf_shift(libmp.mpf_pi(hp), 1)
+        k = libmp.to_int(libmp.mpf_div(theta._mpf_, pi2, hp, "n"), "n")
     if k:
         # Subtract k*2pi with pi carried at extra precision so the reduced
         # angle keeps full absolute accuracy even for large |theta|.
         extra = max(0, abs(k).bit_length()) + 10
-        pi2 = libmp.mpf_shift(libmp.mpf_pi(ctx.prec_work + extra), 1)
-        prod = libmp.mpf_mul_int(pi2, k, ctx.prec_work + extra, "n")
-        t = mp.make_mpf(libmp.mpf_sub(theta._mpf_, prod, ctx.prec_work, "n"))
+        pi2 = libmp.mpf_shift(libmp.mpf_pi(prec + extra), 1)
+        prod = libmp.mpf_mul_int(pi2, k, prec + extra, "n")
+        t = mp.make_mpf(libmp.mpf_sub(theta._mpf_, prod, prec, "n"))
     else:
         t = theta
-    if t > ctx.pi:
+    if t > pi:
         t = t - two_pi
-    if t < -ctx.pi:
+    if t < -pi:
         t = t + two_pi
     if t < 0:
         return -1, -t
@@ -109,23 +138,33 @@ def _reduce_to_0_pi(theta, ctx: PrecisionCtx):
 
 
 def _cl2_series(t, ctx: PrecisionCtx):
-    """The defining expansion on [0, 2pi/3]."""
+    """The defining expansion on [0, 2pi/3], summed in fixed point."""
     if t == 0:
         return ctx._mp.mpf(0)
-    s = t - t * ctx.log(t)
-    t2 = t * t
-    power = t * t2
-    eps = ctx._mp.mpf(2) ** (-ctx.prec_work - 4)
-    k = 1
+    prec = ctx.prec_work
+    fixed = prec + 20
+    pi = libmp.pi_fixed(fixed)
+    tf = libmp.to_fixed(t._mpf_, fixed)
+    x = (tf * tf << fixed) // (4 * pi * pi)          # X = (t/2pi)^2
+    # Stop once a term is below 2^-(prec+4); the rest sum to less than 1/8 of it.
+    stop = 1 << (fixed - prec - 4)
+    table = _CL2_TABLE.get(fixed, ())
+    power = x
+    total = 0
+    k = 0
     while True:
-        coeffs = _cl2_coeffs(ctx, k + 16)
-        while k <= len(coeffs):
-            term = coeffs[k - 1] * power
-            s += term
-            if term < eps * s:
-                return s
-            power *= t2
-            k += 1
+        if k == len(table):
+            table = _cl2_table(fixed, k + 16)
+        term = table[k] * power >> fixed
+        total += term
+        if term < stop:
+            break
+        power = power * x >> fixed
+        k += 1
+    # Cl2(t) = t (1 - log t + total); 1 - log t >= 1 - log(2pi/3) > 1/4.
+    u = libmp.mpf_sub(libmp.from_man_exp(total + (1 << fixed), -fixed),
+                      libmp.mpf_log(t._mpf_, fixed, "n"), fixed, "n")
+    return ctx._mp.make_mpf(libmp.mpf_mul(t._mpf_, u, prec, "n"))
 
 
 def cl2(theta, ctx: PrecisionCtx):
@@ -136,14 +175,14 @@ def cl2(theta, ctx: PrecisionCtx):
     theta = theta if isinstance(theta, ctx._mp.mpf) else ctx.mpf(theta)
     if not ctx.isfinite(theta):
         raise DomainError("cl2 requires a finite angle")
-    sign, t = _reduce_to_0_pi(theta, ctx)
-    two_thirds_pi = 2 * ctx.pi / 3
-    if t <= two_thirds_pi:
+    pi = ctx.pi
+    sign, t = _reduce_to_0_pi(theta, ctx, pi)
+    if t <= 2 * pi / 3:
         value = _cl2_series(t, ctx)
     else:
         # Duplication: Cl2(t) = Cl2(pi - t) - Cl2(2pi - 2t)/2, both arguments
         # now in [0, 2pi/3).
-        value = _cl2_series(ctx.pi - t, ctx) - _cl2_series(2 * (ctx.pi - t), ctx) / 2
+        value = _cl2_series(pi - t, ctx) - _cl2_series(2 * (pi - t), ctx) / 2
     return round_out(sign * value, ctx)
 
 

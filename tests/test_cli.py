@@ -114,6 +114,25 @@ class TestFeynmanCommand:
                      "--digits", "30"]) == 0
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("method,cl2_calls", [("all", 40), ("closed", 8)])
+    def test_each_clausen_value_once(self, capsys, monkeypatch, method, cl2_calls):
+        counts = {"cl2": 0, "derive": 0}
+
+        def counting(name):
+            real = getattr(feynman, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(feynman, name, wrapper)
+
+        counting("cl2")
+        counting("derive")
+        assert main(["feynman", "--a", "0.7", "--b", "1.1", "--method", method,
+                     "--digits", "50"]) == 0
+        assert counts == {"cl2": cl2_calls, "derive": 1}
+
     def test_unreachable_direct_tol_exit_2(self, capsys):
         assert main(["feynman", "--a", "1", "--b", "1", "--method", "direct",
                      "--tol", "1e-100"]) == 2

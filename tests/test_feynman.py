@@ -158,6 +158,7 @@ class TestRoutes:
         assert abs(report.c_from_steps - direct.value) < ctx50.pow10(-25)
         assert abs(report.direct.value - direct.value) < ctx50.pow10(-25)
         assert abs(report.c_from_steps - c_closed(m, ctx50)) < ctx50.pow10(-40)
+        assert report.closed == c_closed(m, ctx50)
 
     def test_stepwise_asymmetric_point(self, ctx50):
         report = stepwise(MassPair(ctx50.mpf("0.3"), ctx50.mpf("1.7")), ctx50)

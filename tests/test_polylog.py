@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.ctx_mp import MPContext
 
 from tetraclausen.mpcore import DomainError, PrecisionCtx, to_decimal
 from tetraclausen.polylog import (
@@ -90,6 +91,41 @@ class TestCl2:
     def test_non_finite_rejected(self, ctx50):
         with pytest.raises(DomainError):
             cl2(ctx50.inf, ctx50)
+
+    @pytest.mark.parametrize("big", [10 ** 65, -10 ** 65, 10 ** 200],
+                             ids=["1e65", "-1e65", "1e200"])
+    def test_huge_angle(self, ctx50, big):
+        theta = ctx50.mpf(big)
+        # Oracle: theta is exact binary data; reduce it mod 2pi at a precision
+        # covering its integer part, then mpmath's clsin at digits+20.
+        _, _, exp, bc = theta._mpf_
+        ref_mp = MPContext()
+        ref_mp.prec = exp + bc + 400
+        exact = ref_mp.make_mpf(theta._mpf_)
+        reduced = exact - 2 * ref_mp.pi * ref_mp.nint(exact / (2 * ref_mp.pi))
+        ref_mp.dps = ctx50.digits + 20
+        ref = ref_mp.clsin(2, +reduced)
+        assert abs(cl2(theta, ctx50) - ref) <= ctx50.pow10(-ctx50.digits) * (1 + abs(ref))
+
+
+@pytest.mark.parametrize("digits", [15, 20, 50, 100, 300])
+def test_cl2_accuracy_against_clsin(digits):
+    # Seeded angles plus the edges of the series: near 0, both sides of the
+    # 2pi/3 duplication switch, just below pi, and a few periods out.
+    ctx = PrecisionCtx(digits)
+    rng = random.Random(1000 + digits)
+    pi = ctx.pi
+    angles = [ctx.mpf(rng.uniform(-20, 20)) for _ in range(6)]
+    for k in sorted({1, 4, digits // 2, digits - 2, rng.randint(2, digits)}):
+        eps = ctx.pow10(-k)
+        angles += [eps, 2 * pi / 3 + eps, 2 * pi / 3 - eps, pi - eps,
+                   14 * pi + eps, 14 * pi - eps]
+    ref_mp = MPContext()
+    ref_mp.dps = digits + 20
+    bound = ctx.pow10(-digits)
+    for theta in angles:
+        ref = ref_mp.clsin(2, ref_mp.make_mpf(theta._mpf_))
+        assert abs(cl2(theta, ctx) - ref) <= bound * (1 + abs(ref)), to_decimal(theta, ctx)
 
 
 class TestLi2:
