@@ -23,8 +23,9 @@ panel is integrated once with all three (see ``StepReport.direct``).
 ``stepwise`` also computes each Clausen value once.  The closed forms of
 I1..I4 (``I_CLOSED``) are integer combinations of the q and r values, and
 the eight-term form of C(a,b) below is a sum over the s values.  So one
-``derive`` and the 40 values of the q, r and s vectors give every closed
-form, ``c_closed``'s included (``StepReport.closed``).
+``derive`` and the 39 distinct values of the q, r and s vectors (q3 and
+q6 share an angle) give every closed form, ``c_closed``'s included
+(``StepReport.closed``).
 
 ``c_closed`` evaluates the eight-term closed form
 
@@ -38,6 +39,9 @@ with phi = arctan(d/p), phi_a = arctan(d/a), phi_b = arctan(d/b).
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_log, mpf_mul,
+                          mpf_shift, mpf_sqrt, mpf_sub)
 
 from .mpcore import DomainError, PrecisionCtx, round_out, to_decimal
 from .polylog import cl2
@@ -234,7 +238,11 @@ def q_vector(ang: DerivedAngles, ctx: PrecisionCtx) -> dict:
         "q8": pi - a1 - a2, "q9": pi + a1 - a2, "q10": a2, "q11": a1,
         "q12": pi - a2, "q13": pi - a1,
     }
-    return {k: (v, cl2(v, ctx)) for k, v in angles.items()}
+    q = {}
+    for k, v in angles.items():
+        # q6 is q3's angle 2*alpha2 again: one Clausen value serves both.
+        q[k] = (v, q["q3"][1] if k == "q6" else cl2(v, ctx))
+    return q
 
 
 def r_vector(ang: DerivedAngles, ctx: PrecisionCtx) -> dict:
@@ -355,28 +363,63 @@ def _c_from_s(ang: DerivedAngles, s: dict, ctx: PrecisionCtx):
 #   A + B = (b+2)^2 v (v+4) / (A - B),
 #
 # which is exact up to rounding (A - B never cancels on the panel).
+#
+# Both integrands compute on raw mpf tuples with mpmath.libmp, each
+# operation rounded to nearest at the working precision, in the order and
+# association of the formulas below, so that they return exactly what the
+# same formulas on mpf objects return.  Quantities fixed by b are hoisted.
+# Finite panel, w = v + 2:
+#
+#   s = v(v+4) + b^2                 w^2 + b^2 - 4, v(v+4) formed once
+#   root = sqrt(s),  A = w root,  B = v(v+4) - 2b,  D = A - B
+#   L = log(((b+2)^2 v)(v+4) / (D D)) / 2       arctanh of the argument
+#
+# Tail panel, w = (v + 2) + b:
+#
+#   s = v(v + 2(2+b)) + (2b)(b+2)    w^2 + b^2 - 4
+#   root = sqrt(s),  t = b / root
+#   L = log((1+t) / (1-t)) / 2                  arctanh(b/root)
+#
+# and each returns, with W = w + a, the three weighted terms
+#
+#   L/(w root),  L/(W root),  L/((w root) W).
 # ---------------------------------------------------------------------------
 
-def _weighted(atanh_term, w, a, root):
-    """The arctanh term over w, w+a and w(w+a), each times root."""
-    w_root = w * root
-    return (atanh_term / w_root, atanh_term / ((w + a) * root),
-            atanh_term / (w_root * (w + a)))
+_TWO, _FOUR = from_int(2), from_int(4)
+
+
+def _weighted(mp, atanh_term, w, a, root, prec):
+    """The arctanh term over w, w+a and w(w+a), each times root (raw tuples
+    in, mpfs of ``mp`` out)."""
+    make = mp.make_mpf
+    w_root = mpf_mul(w, root, prec, "n")
+    w_a = mpf_add(w, a, prec, "n")
+    return (make(mpf_div(atanh_term, w_root, prec, "n")),
+            make(mpf_div(atanh_term, mpf_mul(w_a, root, prec, "n"), prec, "n")),
+            make(mpf_div(atanh_term, mpf_mul(w_root, w_a, prec, "n"), prec, "n")))
 
 
 def _finite_panel_integrand(a, b, ctx):
     """Integrand of the [2, 2+b] panel in v = w-2."""
     mp = ctx._mp
-    bp2 = (b + 2) ** 2
+    prec = ctx.prec_work
+    a_raw = a._mpf_
+    bb = (b * b)._mpf_
+    two_b = (2 * b)._mpf_
+    bp2 = ((b + 2) ** 2)._mpf_
 
     def f(v):
-        w = v + 2
-        s_val = v * (v + 4) + b * b          # w^2 + b^2 - 4
-        root = mp.sqrt(s_val)
-        big_a = w * root
-        big_b = v * (v + 4) - 2 * b          # w^2 - 4 - 2b
-        diff = big_a - big_b
-        return _weighted(mp.log(bp2 * v * (v + 4) / (diff * diff)) / 2, w, a, root)
+        v = v._mpf_
+        w = mpf_add(v, _TWO, prec, "n")
+        v4 = mpf_add(v, _FOUR, prec, "n")
+        vv4 = mpf_mul(v, v4, prec, "n")
+        root = mpf_sqrt(mpf_add(vv4, bb, prec, "n"), prec, "n")
+        diff = mpf_sub(mpf_mul(w, root, prec, "n"), mpf_sub(vv4, two_b, prec, "n"), prec, "n")
+        ratio = mpf_div(mpf_mul(mpf_mul(bp2, v, prec, "n"), v4, prec, "n"),
+                        mpf_mul(diff, diff, prec, "n"), prec, "n")
+        # Halving a prec-bit value is exact: it equals the division by 2.
+        term = mpf_shift(mpf_log(ratio, prec, "n"), -1)
+        return _weighted(mp, term, w, a_raw, root, prec)
 
     return f
 
@@ -384,13 +427,21 @@ def _finite_panel_integrand(a, b, ctx):
 def _tail_panel_integrand(a, b, ctx):
     """Integrand of the [2+b, inf) panel in v = w-(2+b)."""
     mp = ctx._mp
+    prec = ctx.prec_work
+    a_raw = a._mpf_
+    b_raw = b._mpf_
+    k_lin = (2 * (2 + b))._mpf_
+    k_const = (2 * b * (b + 2))._mpf_
 
     def f(v):
-        w = v + 2 + b
-        s_val = v * (v + 2 * (2 + b)) + 2 * b * (b + 2)   # w^2 + b^2 - 4
-        root = mp.sqrt(s_val)
-        t = b / root
-        return _weighted(mp.log((1 + t) / (1 - t)) / 2, w, a, root)
+        v = v._mpf_
+        w = mpf_add(mpf_add(v, _TWO, prec, "n"), b_raw, prec, "n")
+        s_val = mpf_add(mpf_mul(v, mpf_add(v, k_lin, prec, "n"), prec, "n"), k_const, prec, "n")
+        root = mpf_sqrt(s_val, prec, "n")
+        t = mpf_div(b_raw, root, prec, "n")
+        ratio = mpf_div(mpf_add(fone, t, prec, "n"), mpf_sub(fone, t, prec, "n"), prec, "n")
+        term = mpf_shift(mpf_log(ratio, prec, "n"), -1)
+        return _weighted(mp, term, w, a_raw, root, prec)
 
     return f
 

@@ -212,24 +212,47 @@ def cl2_series_reference(theta, ctx: PrecisionCtx, terms: int = 256):
         s_prev, s_cur = s_cur, two_cos * s_cur - s_prev
         partial += s_cur / (n * n)
 
-    # Tail = Im sum_{n>M} e^{i n t}/n^2 = Im e^{i(M+1)t} int_0^inf
-    #   s e^{-(M+1)s} / (1 - e^{it} e^{-s}) ds.  Substituting s = u/(M+1)
-    # brings the mass to u ~ 1 where the exp-sinh grid is dense; taking the
-    # imaginary part analytically keeps the integrand real.
+    tol = hi.pow10(-(ctx.digits + 5))
+    tail = quad.integrate(_cl2_tail_integrand(t, cos_t, sin_t, M, hi), (0, hi.inf), tol, hi)
+    return round_out(ctx.mpf(sign * (partial + tail.value)), ctx)
+
+
+def _cl2_tail_integrand(t, cos_t, sin_t, M, hi: PrecisionCtx):
+    """Integrand of the tail sum_{n>M} sin(n t)/n^2 in cl2_series_reference.
+
+    Tail = Im sum_{n>M} e^{i n t}/n^2 = Im e^{i(M+1)t} int_0^inf
+      s e^{-(M+1)s} / (1 - e^{it} e^{-s}) ds.  Substituting s = u/(M+1)
+    brings the mass to u ~ 1 where the exp-sinh grid is dense; taking the
+    imaginary part analytically keeps the integrand real.
+
+    It computes on raw mpf tuples, each operation rounded to nearest at
+    ``hi``'s working precision in the association written here:
+      e = exp(-u/(M+1)),  num = sin_mt (1 - e cos_t) + cos_mt (e sin_t),
+      den = (1 - two_cos e) + e e,  value = ((u exp(-u)) num) / ((den (M+1)) (M+1)),
+    with two_cos = 2 cos_t and mt = (M+1) t.
+    """
+    mp = hi._mp
+    prec = hi.prec_work
     mt = (M + 1) * t
-    sin_mt = hi.sin(mt)
-    cos_mt = hi.cos(mt)
-    mp1 = mp.mpf(M + 1)
+    sin_mt, cos_mt = hi.sin(mt)._mpf_, hi.cos(mt)._mpf_
+    cos_r, sin_r, two_cos = cos_t._mpf_, sin_t._mpf_, (2 * cos_t)._mpf_
+    mp1 = libmp.from_int(M + 1)
+    mul, add, sub, div, exp, one = (libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub,
+                                    libmp.mpf_div, libmp.mpf_exp, libmp.fone)
 
     def tail_integrand(u):
-        e = mp.exp(-u / mp1)
-        num = sin_mt * (1 - e * cos_t) + cos_mt * (e * sin_t)
-        den = 1 - two_cos * e + e * e
-        return u * mp.exp(-u) * num / (den * mp1 * mp1)
+        u = u._mpf_
+        neg_u = libmp.mpf_neg(u)
+        e = exp(div(neg_u, mp1, prec, "n"), prec, "n")
+        num = add(mul(sin_mt, sub(one, mul(e, cos_r, prec, "n"), prec, "n"), prec, "n"),
+                  mul(cos_mt, mul(e, sin_r, prec, "n"), prec, "n"), prec, "n")
+        den = add(sub(one, mul(two_cos, e, prec, "n"), prec, "n"),
+                  mul(e, e, prec, "n"), prec, "n")
+        value = div(mul(mul(u, exp(neg_u, prec, "n"), prec, "n"), num, prec, "n"),
+                    mul(mul(den, mp1, prec, "n"), mp1, prec, "n"), prec, "n")
+        return mp.make_mpf(value)
 
-    tol = hi.pow10(-(ctx.digits + 5))
-    tail = quad.integrate(tail_integrand, (0, hi.inf), tol, hi)
-    return round_out(ctx.mpf(sign * (partial + tail.value)), ctx)
+    return tail_integrand
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,25 @@ when two successive level sums differ by less than ``tol/2``.
 An integrand may return a tuple of reals; its components then share the
 nodes and the node loop, and convergence and the tail cut-off wait for the
 slowest one.  A scalar integrand is the one-component case of that loop.
+
+The node loops compute on mpmath's raw ``_mpf_`` tuples through
+``mpmath.libmp``, every operation rounded to nearest, and wrap each
+abscissa into an mpf once and unwrap the integrand's results once per
+evaluation.  With ``p = ctx.prec_work``:
+
+* node offsets and weights are computed and cached at ``p + 20`` bits;
+* abscissas are computed at ``p``: ``d = halfw*offset``, ``lo + d`` and
+  ``hi - d`` on a finite domain, ``lo + r`` on a semi-infinite one;
+* weighted contributions ``weight*f(x)``, level sums, and the level
+  combination in :func:`integrate` are computed at ``p + 20``;
+* endpoint and tail tests are exact comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from mpmath.libmp import mpf_abs, mpf_add, mpf_lt, mpf_mul, mpf_sub
 
 from .mpcore import PrecisionCtx, round_out
 
@@ -93,7 +107,7 @@ def _t_max(prec: int, mp):
 
 
 def _ts_level(prec: int, level: int):
-    """Tanh-sinh nodes for one level: list of (offset, weight, is_center).
+    """Tanh-sinh nodes for one level: list of raw (offset, weight, is_center).
 
     ``offset`` is ``1 - tanh(pi/2*sinh t)`` for t >= 0, the node's distance
     to the transformed endpoint ``u = 1``.  Level 0 holds all integer t >= 0
@@ -118,7 +132,7 @@ def _ts_level(prec: int, level: int):
         e2g = mp.exp(2 * g)
         offset = 2 / (e2g + 1)           # 1 - tanh(g), no cancellation
         weight = half_pi * mp.cosh(t) * (4 * e2g / (e2g + 1) ** 2)  # (pi/2)cosh(t)/cosh(g)^2
-        nodes.append((offset, weight, j == 0))
+        nodes.append((offset._mpf_, weight._mpf_, j == 0))
         j += step
     _TS_NODES[key] = nodes
     return nodes
@@ -127,7 +141,7 @@ def _ts_level(prec: int, level: int):
 def _es_level(prec: int, level: int):
     """Exp-sinh nodes for one level: list of (t_sign_pairs) entries.
 
-    Each entry is ``(r_neg, w_neg, r_pos, w_pos)`` where ``x = lo + r`` and the
+    Each entry is raw ``(r_neg, w_neg, r_pos, w_pos)`` where ``x = lo + r`` and the
     weight already includes dx/dt; the t = 0 node appears only at level 0 as
     an entry with its positive half only (r_neg is None).
     """
@@ -151,42 +165,49 @@ def _es_level(prec: int, level: int):
         r_pos = mp.exp(g)
         w_pos = half_pi * ch * r_pos
         if j == 0:
-            nodes.append((None, None, r_pos, w_pos))
+            nodes.append((None, None, r_pos._mpf_, w_pos._mpf_))
         else:
             r_neg = 1 / r_pos
             w_neg = half_pi * ch * r_neg
-            nodes.append((r_neg, w_neg, r_pos, w_pos))
+            nodes.append((r_neg._mpf_, w_neg._mpf_, r_pos._mpf_, w_pos._mpf_))
         j += step
     _ES_NODES[key] = nodes
     return nodes
 
 
 # ---------------------------------------------------------------------------
-# Level sums of a tuple-valued ``f``: lists with one entry per component, or
-# None when no node of the level lies strictly inside the domain.
+# Level sums of a tuple-valued ``f``, all on raw mpf tuples: ``f`` takes and
+# returns them, and the sums are lists with one entry per component, or None
+# when no node of the level lies strictly inside the domain.  ``prec`` is the
+# abscissa precision; contributions and sums are rounded at ``prec + 20``.
 # ---------------------------------------------------------------------------
 
-def _add(u, v):
-    return v if u is None else [p + q for p, q in zip(u, v)]
+def _add(u, v, wp):
+    return v if u is None else [mpf_add(p, q, wp, "n") for p, q in zip(u, v)]
+
+
+def _negligible(contrib, tiny):
+    return all(mpf_lt(mpf_abs(c), tiny) for c in contrib)
 
 
 def _sum_level_finite(f, lo, hi, halfw, prec, level, tiny):
     nodes = _ts_level(prec, level)
+    wp = prec + 20
     total = None
     run = 0
     for offset, weight, is_center in nodes:
-        d = halfw * offset
-        x_left = lo + d
-        x_right = hi - d
+        d = mpf_mul(halfw, offset, prec, "n")
+        x_left = mpf_add(lo, d, prec, "n")
+        x_right = mpf_sub(hi, d, prec, "n")
         contrib = None
-        if x_left > lo and x_left < hi:
-            contrib = [weight * y for y in f(x_left)]
-        if not is_center and x_right > lo and x_right < hi:
-            contrib = _add(contrib, [weight * y for y in f(x_right)])
+        if mpf_lt(lo, x_left) and mpf_lt(x_left, hi):
+            contrib = [mpf_mul(weight, y, wp, "n") for y in f(x_left)]
+        if not is_center and mpf_lt(lo, x_right) and mpf_lt(x_right, hi):
+            contrib = _add(contrib, [mpf_mul(weight, y, wp, "n") for y in f(x_right)], wp)
         if contrib is None:
             break
-        total = _add(total, contrib)
-        if max(map(abs, contrib)) < tiny:
+        total = _add(total, contrib, wp)
+        if _negligible(contrib, tiny):
             run += 1
             if run >= _TAIL_RUN:
                 break
@@ -197,25 +218,26 @@ def _sum_level_finite(f, lo, hi, halfw, prec, level, tiny):
 
 def _sum_level_semiinf(f, lo, prec, level, tiny):
     nodes = _es_level(prec, level)
+    wp = prec + 20
     total = None
     run_pos = _TAIL_RUN  # separate tail detection per direction
     run_neg = _TAIL_RUN
     for r_neg, w_neg, r_pos, w_pos in nodes:
         contrib = None
         if run_pos > 0:
-            x = lo + r_pos
-            if x > lo:
-                c = [w_pos * y for y in f(x)]
+            x = mpf_add(lo, r_pos, prec, "n")
+            if mpf_lt(lo, x):
+                c = [mpf_mul(w_pos, y, wp, "n") for y in f(x)]
                 contrib = c
-                run_pos = run_pos - 1 if max(map(abs, c)) < tiny else _TAIL_RUN
+                run_pos = run_pos - 1 if _negligible(c, tiny) else _TAIL_RUN
         if r_neg is not None and run_neg > 0:
-            x = lo + r_neg
-            if x > lo:
-                c = [w_neg * y for y in f(x)]
-                contrib = _add(contrib, c)
-                run_neg = run_neg - 1 if max(map(abs, c)) < tiny else _TAIL_RUN
+            x = mpf_add(lo, r_neg, prec, "n")
+            if mpf_lt(lo, x):
+                c = [mpf_mul(w_neg, y, wp, "n") for y in f(x)]
+                contrib = _add(contrib, c, wp)
+                run_neg = run_neg - 1 if _negligible(c, tiny) else _TAIL_RUN
         if contrib is not None:
-            total = _add(total, contrib)
+            total = _add(total, contrib, wp)
         if run_pos <= 0 and run_neg <= 0:
             break
     return total
@@ -229,9 +251,9 @@ def integrate(f, domain, tol, ctx: PrecisionCtx, max_levels: int = MAX_LEVELS):
     """Integrate ``f`` over ``domain = (lo, hi)`` to absolute tolerance ``tol``.
 
     ``hi`` may be ``ctx.inf`` (or the string ``"inf"``) for a semi-infinite
-    domain.  ``f`` receives working-precision reals and must return one, or
-    a tuple of them; it may diverge integrably at the endpoints but is never
-    called there.
+    domain.  ``f`` receives working-precision mpf reals and must return an
+    mpf, or a tuple of them; it may diverge integrably at the endpoints but
+    is never called there.
 
     Returns a :class:`QuadratureResult` whose ``error_estimate`` bounds
     ``|value - true integral|`` and is at most ``tol`` on success; for a
@@ -266,22 +288,28 @@ def integrate(f, domain, tol, ctx: PrecisionCtx, max_levels: int = MAX_LEVELS):
     is_tuple = False
     halfw = (hi - lo) / 2 if not semi_infinite else None
 
+    make_mpf = mp.make_mpf
+    node_mpf = _node_ctx(prec + 20).make_mpf
+
     def components(x):
         nonlocal evaluations, is_tuple
         evaluations += 1
-        y = f(x)
+        y = f(make_mpf(x))
         is_tuple = isinstance(y, tuple)
-        return y if is_tuple else (y,)
+        return [v._mpf_ for v in y] if is_tuple else [y._mpf_]
 
     def level_sum(m):
         try:
             if semi_infinite:
-                return _sum_level_semiinf(components, lo, prec, m, tiny)
-            return _sum_level_finite(components, lo, hi, halfw, prec, m, tiny)
+                sums = _sum_level_semiinf(components, lo._mpf_, prec, m, tiny._mpf_)
+            else:
+                sums = _sum_level_finite(components, lo._mpf_, hi._mpf_, halfw._mpf_,
+                                         prec, m, tiny._mpf_)
         except QuadratureError:
             raise
         except (ArithmeticError, ValueError) as exc:
             raise QuadratureError("integrand evaluation failed: %s" % exc) from exc
+        return None if sums is None else [node_mpf(s) for s in sums]
 
     def results(values, errors):
         out = tuple(QuadratureResult(round_out(v, ctx), round_out(e, ctx), evaluations)

@@ -1,0 +1,185 @@
+"""Reference copies of the quadrature node loops and integrands on mpf objects.
+
+``tetraclausen.quad``, the feynman panel integrands and the tail integrand
+of ``polylog.cl2_series_reference`` compute on raw ``_mpf_`` tuples through
+``mpmath.libmp``.  The versions here do the same arithmetic with mpmath's
+mpf operators, whose precision comes from the left operand's context: node
+weights carry ``prec_work + 20`` bits, so weighted contributions and level
+sums are rounded there, and abscissas, whose left operand is ``lo`` or
+``hi``, at ``prec_work``.  The tuple versions must return identical bits.
+"""
+
+from tetraclausen.mpcore import round_out
+from tetraclausen.quad import (MAX_LEVELS, QuadratureError, QuadratureResult,
+                               QuadratureResults, _TAIL_RUN, _es_level, _node_ctx,
+                               _ts_level)
+
+
+def _mpf_nodes(nodes, prec):
+    make = _node_ctx(prec + 20).make_mpf
+    return [tuple(v if v is None or isinstance(v, bool) else make(v) for v in node)
+            for node in nodes]
+
+
+def _add(u, v):
+    return v if u is None else [p + q for p, q in zip(u, v)]
+
+
+def _sum_level_finite(f, lo, hi, halfw, prec, level, tiny):
+    total = None
+    run = 0
+    for offset, weight, is_center in _mpf_nodes(_ts_level(prec, level), prec):
+        d = halfw * offset
+        x_left = lo + d
+        x_right = hi - d
+        contrib = None
+        if x_left > lo and x_left < hi:
+            contrib = [weight * y for y in f(x_left)]
+        if not is_center and x_right > lo and x_right < hi:
+            contrib = _add(contrib, [weight * y for y in f(x_right)])
+        if contrib is None:
+            break
+        total = _add(total, contrib)
+        if max(map(abs, contrib)) < tiny:
+            run += 1
+            if run >= _TAIL_RUN:
+                break
+        else:
+            run = 0
+    return total
+
+
+def _sum_level_semiinf(f, lo, prec, level, tiny):
+    total = None
+    run_pos = _TAIL_RUN
+    run_neg = _TAIL_RUN
+    for r_neg, w_neg, r_pos, w_pos in _mpf_nodes(_es_level(prec, level), prec):
+        contrib = None
+        if run_pos > 0:
+            x = lo + r_pos
+            if x > lo:
+                c = [w_pos * y for y in f(x)]
+                contrib = c
+                run_pos = run_pos - 1 if max(map(abs, c)) < tiny else _TAIL_RUN
+        if r_neg is not None and run_neg > 0:
+            x = lo + r_neg
+            if x > lo:
+                c = [w_neg * y for y in f(x)]
+                contrib = _add(contrib, c)
+                run_neg = run_neg - 1 if max(map(abs, c)) < tiny else _TAIL_RUN
+        if contrib is not None:
+            total = _add(total, contrib)
+        if run_pos <= 0 and run_neg <= 0:
+            break
+    return total
+
+
+def integrate(f, domain, tol, ctx, max_levels=MAX_LEVELS):
+    """``quad.integrate`` with the node loops on mpf objects."""
+    mp = ctx._mp
+    lo, hi = domain
+    lo = ctx.mpf(lo)
+    semi_infinite = hi == ctx.inf
+    if not semi_infinite:
+        hi = ctx.mpf(hi)
+    tol = ctx.mpf(tol)
+    prec = ctx.prec_work
+    tiny = mp.mpf(2) ** (-prec - 10) + tol * mp.mpf(10) ** -8
+    evaluations = 0
+    is_tuple = False
+    halfw = (hi - lo) / 2 if not semi_infinite else None
+
+    def components(x):
+        nonlocal evaluations, is_tuple
+        evaluations += 1
+        y = f(x)
+        is_tuple = isinstance(y, tuple)
+        return y if is_tuple else (y,)
+
+    def results(values, errors):
+        out = tuple(QuadratureResult(round_out(v, ctx), round_out(e, ctx), evaluations)
+                    for v, e in zip(values, errors))
+        return QuadratureResults(out) if is_tuple else out[0]
+
+    scale = halfw if not semi_infinite else mp.mpf(1)
+    s_prev = None
+    for m in range(max_levels + 1):
+        h = mp.mpf(2) ** (-m)
+        if semi_infinite:
+            sums = _sum_level_semiinf(components, lo, prec, m, tiny)
+        else:
+            sums = _sum_level_finite(components, lo, hi, halfw, prec, m, tiny)
+        if sums is None:
+            sums = [lo * 0] * (len(s_prev) if s_prev else 1)
+        partial = [s * h * scale for s in sums]
+        if s_prev is None:
+            s_m, diffs = partial, [abs(s) for s in partial]
+        else:
+            s_m = [p / 2 + q for p, q in zip(s_prev, partial)]
+            diffs = [abs(p - q) for p, q in zip(s_m, s_prev)]
+            if m >= 2 and all(diff < tol / 2 for diff in diffs):
+                floors = [mp.mpf(2) ** (-prec + 4) * (1 + abs(s)) for s in s_m]
+                return results(s_m, [diff if diff > floor else floor
+                                     for diff, floor in zip(diffs, floors)])
+        s_prev = s_m
+    raise QuadratureError("no convergence", result=results(s_prev, diffs))
+
+
+# ---------------------------------------------------------------------------
+# The feynman panel integrands.
+# ---------------------------------------------------------------------------
+
+def _weighted(atanh_term, w, a, root):
+    w_root = w * root
+    return (atanh_term / w_root, atanh_term / ((w + a) * root),
+            atanh_term / (w_root * (w + a)))
+
+
+def finite_panel_integrand(a, b, ctx):
+    mp = ctx._mp
+    bp2 = (b + 2) ** 2
+
+    def f(v):
+        w = v + 2
+        s_val = v * (v + 4) + b * b
+        root = mp.sqrt(s_val)
+        big_a = w * root
+        big_b = v * (v + 4) - 2 * b
+        diff = big_a - big_b
+        return _weighted(mp.log(bp2 * v * (v + 4) / (diff * diff)) / 2, w, a, root)
+
+    return f
+
+
+def tail_panel_integrand(a, b, ctx):
+    mp = ctx._mp
+
+    def f(v):
+        w = v + 2 + b
+        s_val = v * (v + 2 * (2 + b)) + 2 * b * (b + 2)
+        root = mp.sqrt(s_val)
+        t = b / root
+        return _weighted(mp.log((1 + t) / (1 - t)) / 2, w, a, root)
+
+    return f
+
+
+# ---------------------------------------------------------------------------
+# The tail integrand of the Cl2 series oracle.
+# ---------------------------------------------------------------------------
+
+def cl2_tail_integrand(t, cos_t, sin_t, M, hi):
+    mp = hi._mp
+    two_cos = 2 * cos_t
+    mt = (M + 1) * t
+    sin_mt = hi.sin(mt)
+    cos_mt = hi.cos(mt)
+    mp1 = mp.mpf(M + 1)
+
+    def tail_integrand(u):
+        e = mp.exp(-u / mp1)
+        num = sin_mt * (1 - e * cos_t) + cos_mt * (e * sin_t)
+        den = 1 - two_cos * e + e * e
+        return u * mp.exp(-u) * num / (den * mp1 * mp1)
+
+    return tail_integrand

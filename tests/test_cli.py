@@ -114,7 +114,7 @@ class TestFeynmanCommand:
                      "--digits", "30"]) == 0
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("method,cl2_calls", [("all", 40), ("closed", 8)])
+    @pytest.mark.parametrize("method,cl2_calls", [("all", 39), ("closed", 8)])
     def test_each_clausen_value_once(self, capsys, monkeypatch, method, cl2_calls):
         counts = {"cl2": 0, "derive": 0}
 

@@ -1,0 +1,73 @@
+"""The raw-tuple quadrature, panel integrands and oracle tail against their
+mpf-object references (``mpf_reference.py``): identical bits, not closeness."""
+
+import random
+
+import pytest
+
+import mpf_reference as ref
+from tetraclausen import feynman, polylog
+from tetraclausen.mpcore import get_ctx
+from tetraclausen.quad import _node_ctx, _ts_level, integrate
+
+
+def raw(results):
+    if not isinstance(results, tuple):
+        results = (results,)
+    return [(r.value._mpf_, r.error_estimate._mpf_, r.evaluations) for r in results]
+
+
+def mass_pairs(ctx, seed, count):
+    """A mass at 1e-5, a pair with 4 - a^2 - b^2 = 1e-8, and seeded pairs."""
+    a = ctx.mpf("0.6")
+    pairs = [(ctx.mpf("1e-5"), ctx.mpf("0.9")), (a, ctx.sqrt(4 - a * a - ctx.mpf("1e-8")))]
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = rng.uniform(0.05, 1.4)
+        pairs.append((ctx.mpf(repr(a)), ctx.mpf(repr(rng.uniform(0.05, (3.9 - a * a) ** 0.5)))))
+    return pairs
+
+
+@pytest.mark.parametrize("digits,seeded", [(15, 3), (20, 3), (50, 2), (100, 1), (200, 0)])
+def test_sweep_matches_reference(monkeypatch, digits, seeded):
+    ctx = get_ctx(digits, 10)
+    tol = ctx.pow10(-digits + 6)
+    pairs = mass_pairs(ctx, digits, seeded)
+    fast = [feynman._sweep(a, b, ctx, tol, None) for a, b in pairs]
+    monkeypatch.setattr(feynman, "integrate", ref.integrate)
+    monkeypatch.setattr(feynman, "_finite_panel_integrand", ref.finite_panel_integrand)
+    monkeypatch.setattr(feynman, "_tail_panel_integrand", ref.tail_panel_integrand)
+    slow = [feynman._sweep(a, b, ctx, tol, None) for a, b in pairs]
+    for (a, b), got, want in zip(pairs, fast, slow):
+        assert [raw(r) for r in got] == [raw(r) for r in want], (a, b)
+
+
+@pytest.mark.parametrize("digits", [15, 20, 50, 100, 200])
+def test_integrate_matches_reference_off_zero(digits):
+    # With lo = 1 the outermost nodes round onto the endpoint and end the
+    # level loop, a path the feynman panels (lo = 0) never take.
+    ctx = get_ctx(digits, 10)
+    prec = ctx.prec_work
+    lo, halfw = ctx.mpf(1), ctx.mpf(1) / 2
+    make = _node_ctx(prec + 20).make_mpf
+    assert all(any(lo + halfw * make(offset) == lo for offset, _, _ in _ts_level(prec, m))
+               for m in (2, 3))
+    tol = ctx.pow10(-digits + 6)
+    for f in (lambda x: ctx.log(x - 1) * ctx.exp(-x),
+              lambda x: (ctx.log(x - 1), ctx.log(2 - x) / (1 + x))):
+        assert raw(integrate(f, (1, 2), tol, ctx)) == raw(ref.integrate(f, (1, 2), tol, ctx))
+
+
+@pytest.mark.parametrize("digits", [20, 50, 100])
+def test_cl2_oracle_tail_matches_reference(digits):
+    hi = get_ctx(digits, 10)
+    rng = random.Random(digits)
+    tol = hi.pow10(-digits + 6)
+    for _ in range(3):
+        t = hi.mpf(repr(rng.uniform(1e-3, 3.14)))
+        args = (t, hi.cos(t), hi.sin(t), 256, hi)
+        fast, slow = polylog._cl2_tail_integrand(*args), ref.cl2_tail_integrand(*args)
+        for u in ("1e-30", "0.001", "0.37", "1", "2.5", "40", "300"):
+            assert fast(hi.mpf(u))._mpf_ == slow(hi.mpf(u))._mpf_
+        got = integrate(fast, (0, hi.inf), tol, hi)
+        assert raw(got) == raw(ref.integrate(slow, (0, hi.inf), tol, hi))
