@@ -140,7 +140,9 @@ def _build_parser() -> _Parser:
     p_fey.add_argument("--method", choices=["closed", "direct", "stepwise", "all"],
                        default="all")
     p_fey.add_argument("--tol", default=None,
-                       help="cross-route agreement tolerance (default 10^(-digits+25))")
+                       help="cross-route agreement tolerance (default 10^(-digits+25),"
+                            " which is >= 1 for digits <= 25: there the checks pass"
+                            " whatever the values)")
     common(p_fey)
 
     p_ver = sub.add_parser("verify", help="verify identity suites")
@@ -162,14 +164,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(report: dict, args, lines: list) -> None:
-    if args.json:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
-
-
 def _result(name, ok, residual_str, samples, conjectural=False):
     if conjectural:
         status = "conjecture-ok" if ok else "conjecture-violated"
@@ -180,7 +174,8 @@ def _result(name, ok, residual_str, samples, conjectural=False):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (exit_code, report, text_lines).
+# Subcommand handlers.  Each returns (results, values, text_lines); ``main``
+# builds the report and the exit code from them.
 # ---------------------------------------------------------------------------
 
 def _run_eval(args, ctx):
@@ -197,13 +192,9 @@ def _run_eval(args, ctx):
         if isinstance(value, ctx._mp.mpc):
             dec_re = to_decimal(value.real, ctx)
             dec_im = to_decimal(value.imag, ctx)
-            report = {"tool": "eval", "digits": ctx.digits, "seed": args.seed,
-                      "results": [], "values": {"li2.re": dec_re, "li2.im": dec_im}}
-            return 0, report, ["%s + %s i" % (dec_re, dec_im)]
+            return [], {"li2.re": dec_re, "li2.im": dec_im}, ["%s + %s i" % (dec_re, dec_im)]
     dec = to_decimal(value, ctx)
-    report = {"tool": "eval", "digits": ctx.digits, "seed": args.seed,
-              "results": [], "values": {name: dec}}
-    return 0, report, [dec]
+    return [], {name: dec}, [dec]
 
 
 def _run_feynman(args, ctx):
@@ -263,11 +254,7 @@ def _run_feynman(args, ctx):
             lines.append("%-22s %s  (|diff| = %s)"
                          % ("%s vs %s:" % (left, right), "pass" if ok else "FAIL",
                             to_decimal(diff, ctx)))
-
-    code = 0 if all(r["status"] in ("pass", "conjecture-ok") for r in results) else 1
-    report = {"tool": "feynman", "digits": ctx.digits, "seed": args.seed,
-              "results": results, "values": values}
-    return code, report, lines
+    return results, values, lines
 
 
 def _run_verify(args, ctx):
@@ -294,10 +281,7 @@ def _run_verify(args, ctx):
         values[name + ".max_residual"] = res_str
         lines.append("%-24s %-20s max_residual=%s samples=%d"
                      % (name, results[-1]["status"], res_str, rep.samples))
-    code = 0 if all(r["status"] in ("pass", "conjecture-ok") for r in results) else 1
-    report = {"tool": "verify", "digits": ctx.digits, "seed": args.seed,
-              "results": results, "values": values}
-    return code, report, lines
+    return results, values, lines
 
 
 def _run_pslq(args, ctx):
@@ -347,11 +331,7 @@ def _run_pslq(args, ctx):
             for _, combo in feynman.R_RELATIONS:
                 names = [name for name, _ in combo]
                 record(",".join(names), [rv[name][1] for name in names], expect_found=True)
-
-    code = 0 if all(r["status"] in ("pass", "conjecture-ok") for r in results) else 1
-    report = {"tool": "pslq", "digits": ctx.digits, "seed": args.seed,
-              "results": results, "values": values}
-    return code, report, lines
+    return results, values, lines
 
 
 def main(argv=None) -> int:
@@ -363,16 +343,19 @@ def main(argv=None) -> int:
         ctx = PrecisionCtx(args.digits)
         handler = {"eval": _run_eval, "feynman": _run_feynman,
                    "verify": _run_verify, "pslq": _run_pslq}[args.subcommand]
-        code, report, lines = handler(args, ctx)
-    except UsageError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except (DomainError, OSError, KeyError, ValueError,
+        results, values, lines = handler(args, ctx)
+    except (DomainError, OSError, KeyError, ValueError,   # UsageError is a ValueError
             QuadratureError, feynman.RouteMismatchError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    _emit(report, args, lines)
-    return code
+    if args.json:
+        report = {"tool": args.subcommand, "digits": ctx.digits, "seed": args.seed,
+                  "results": results, "values": values}
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    else:
+        for line in lines:
+            sys.stdout.write(line + "\n")
+    return 0 if all(r["status"] in ("pass", "conjecture-ok") for r in results) else 1
 
 
 if __name__ == "__main__":

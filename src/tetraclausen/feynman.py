@@ -138,6 +138,15 @@ def _validate_region(a, b, ctx: PrecisionCtx):
         raise DomainError("a^2 + b^2 within %s of 4 is ill-conditioned at %d digits" % (margin, ctx.digits))
 
 
+def _prop_angles(a, b, ctx: PrecisionCtx):
+    """``(d, p, phi, phi_a, phi_b, alpha7)``, the angles of Props. 1 and 2
+    (alpha7 is Prop. 1's gamma); ``derive`` adds the rest and the checks."""
+    d = ctx.sqrt(4 - a * a - b * b)
+    p = a + b + 2
+    return (d, p, ctx.atan(d / p), ctx.atan(d / a), ctx.atan(d / b),
+            ctx.atan((p + ctx.sqrt(2 * b * b + 4 * b)) / d))
+
+
 def derive(m: MassPair, ctx: PrecisionCtx) -> DerivedAngles:
     """All derived angles and auxiliary quantities for a mass pair.
 
@@ -147,9 +156,7 @@ def derive(m: MassPair, ctx: PrecisionCtx) -> DerivedAngles:
     a, b = ctx.mpf(m.a), ctx.mpf(m.b)
     _validate_region(a, b, ctx)
     c = ctx.sqrt(4 - b * b)
-    d = ctx.sqrt(4 - a * a - b * b)
-    p = a + b + 2
-    root_b = ctx.sqrt(2 * b * b + 4 * b)
+    d, p, phi, phi_a, phi_b, alpha7 = _prop_angles(a, b, ctx)
 
     ang = DerivedAngles(
         a=a, b=b, c=c, d=d, p=p,
@@ -158,7 +165,7 @@ def derive(m: MassPair, ctx: PrecisionCtx) -> DerivedAngles:
         alpha3=ctx.asin(a / c),
         alpha4=ctx.asin(a / c + d * d / (c * p)),
         alpha6=ctx.atan(p / d),
-        alpha7=ctx.atan((p + root_b) / d),
+        alpha7=alpha7,
         delta1=2 * ctx.atan((c * d - a * b) / (2 * d + b * c)),
         delta2=2 * ctx.atan((c * d - a * b) / (2 * d - b * c)),
         delta3=2 * ctx.atan((c * d + a * b) / (2 * d - b * c)),
@@ -168,9 +175,9 @@ def derive(m: MassPair, ctx: PrecisionCtx) -> DerivedAngles:
         delta9=ctx.atan((a - b - 2) / d),
         delta10=ctx.atan((a - b + 2) / d),
         delta11=ctx.atan((a + b - 2) / d),
-        phi=ctx.atan(d / p),
-        phi_a=ctx.atan(d / a),
-        phi_b=ctx.atan(d / b),
+        phi=phi,
+        phi_a=phi_a,
+        phi_b=phi_b,
     )
     _assert_angle_invariants(ang, ctx)
     return ang
@@ -514,41 +521,12 @@ class StepReport:
     i1_plus_i2_quad: object
     match_residuals: dict  # name -> |closed - quad|
 
-    def to_dict(self, ctx: PrecisionCtx) -> dict:
-        def dec(x):
-            return to_decimal(x, ctx)
 
-        out = {
-            "masses": {"a": dec(self.angles.a), "b": dec(self.angles.b)},
-            "integrals": {},
-            "vectors": {},
-            "c_from_steps": dec(self.c_from_steps),
-            "i1_plus_i2": {
-                "closed": dec(self.i1_plus_i2_closed),
-                "quadrature": dec(self.i1_plus_i2_quad),
-            },
-        }
-        for name in ("I1", "I2", "I3", "I4"):
-            qres = self.i_quad[name]
-            out["integrals"][name] = {
-                "closed": dec(self.i_closed[name]),
-                "quadrature": dec(qres.value),
-                "quadrature_error": dec(qres.error_estimate),
-                "evaluations": qres.evaluations,
-                "match_residual": dec(self.match_residuals[name]),
-            }
-        for label, vec in (("q", self.q), ("r", self.r), ("s", self.s)):
-            out["vectors"][label] = {
-                name: {"angle": dec(angle), "value": dec(value)}
-                for name, (angle, value) in vec.items()
-            }
-        return out
-
-
-def stepwise(m: MassPair, ctx: PrecisionCtx, tol=None, direct_tol=None) -> StepReport:
+def stepwise(m: MassPair, ctx: PrecisionCtx, direct_tol=None) -> StepReport:
     """Evaluate I1..I4 by quadrature and closed form, with the q/r/s vectors.
 
-    The sweep that integrates I1..I4 to ``tol`` also gives ``report.direct``,
+    The sweep integrates I1..I4 to 10^(-digits+10)/4, a quarter of the
+    closed-vs-quadrature match tolerance.  It also gives ``report.direct``,
     C(a,b) from the defining integrals; with ``direct_tol`` it is held to
     what ``c_direct(m, direct_tol, ctx)`` guarantees, or raises as that would.
     ``report.closed`` equals ``c_closed(m, ctx)``, summed from the s vector.
@@ -560,11 +538,7 @@ def stepwise(m: MassPair, ctx: PrecisionCtx, tol=None, direct_tol=None) -> StepR
     ang = derive(m, ctx)
     a, b = ang.a, ang.b
     match_tol = ctx.pow10(-ctx.digits + 10)
-    if tol is None:
-        tol = match_tol / 4
-    tol = ctx.mpf(tol)
-
-    finite, tail, direct = _sweep(a, b, ctx, tol, direct_tol)
+    finite, tail, direct = _sweep(a, b, ctx, match_tol / 4, direct_tol)
     i_quad = {"I1": tail[0], "I2": finite[0], "I3": tail[1], "I4": finite[1]}
     q, r, s = q_vector(ang, ctx), r_vector(ang, ctx), s_vector(ang, ctx)
     i_closed = closed_integrals(ang, {**q, **r}, ctx)

@@ -13,12 +13,15 @@ Fixed angle conventions used throughout:
   conj-1.1 .. conj-1.4;
 * ``alpha_B`` with sin(alpha_B) = 1/3 parameterizes the series identity for
   C(1,1); the two conventions are linked by 2*alpha = pi/2 - alpha_B.
+
+Mass-parameterized entries take their angles from ``feynman``'s reduction.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .mpcore import PrecisionCtx, round_out
 from .polylog import cl2, li2
@@ -100,18 +103,15 @@ def _beta(ctx):
     return ctx.atan(ctx.sqrt(8) + ctx.sqrt(3))
 
 
-def _alpha_broadhurst(ctx):
-    return ctx.asin(ctx.mpf(1) / 3)
-
-
-def _phis(a, b, ctx):
-    d = ctx.sqrt(4 - a * a - b * b)
-    p = a + b + 2
-    return d, p, ctx.atan(d / p), ctx.atan(d / a), ctx.atan(d / b)
+def _c11_clausen_form(ctx):
+    """Broadhurst's form of C(1,1): 4 sqrt(2) (Cl2(4a) - Cl2(2a)), sin(a) = 1/3."""
+    al = ctx.asin(ctx.mpf(1) / 3)
+    return 4 * ctx.sqrt(2) * (cl2(4 * al, ctx) - cl2(2 * al, ctx))
 
 
 # ---------------------------------------------------------------------------
 # Residual builders.  Each returns |LHS - RHS| as a working-precision real.
+# Those of mass entries take the pair's angles, not params (``_mass_spec``).
 # ---------------------------------------------------------------------------
 
 def _conj_11(params, ctx):
@@ -162,10 +162,8 @@ def _theorem_1(params, ctx):
                - 2 * cl2(pi - al - be, ctx))
 
 
-def _prop_1(params, ctx):
-    a, b = ctx.mpf(params["a"]), ctx.mpf(params["b"])
-    d, p, phi, pha, _ = _phis(a, b, ctx)
-    ga = ctx.atan((p + ctx.sqrt(2 * b * b + 4 * b)) / d)
+def _prop_1(angles, ctx):
+    _, _, phi, pha, _, ga = angles
     pi = ctx.pi
     return abs(2 * cl2(2 * ga + 2 * pha - pi, ctx) + 2 * cl2(2 * ga + 2 * phi - pi, ctx)
                + cl2(2 * pha - 4 * phi, ctx) - 2 * cl2(2 * ga - 2 * phi + 2 * pha - pi, ctx)
@@ -173,9 +171,8 @@ def _prop_1(params, ctx):
                - cl2(2 * pha, ctx) - 4 * cl2(2 * phi, ctx))
 
 
-def _prop_2(params, ctx):
-    a, b = ctx.mpf(params["a"]), ctx.mpf(params["b"])
-    _, _, phi, pha, phb = _phis(a, b, ctx)
+def _prop_2(angles, ctx):
+    _, _, phi, pha, phb, _ = angles
     return abs(2 * cl2(2 * phi, ctx) - 4 * cl2(2 * phb, ctx) + cl2(4 * phb, ctx)
                + 2 * cl2(2 * phb - 2 * phi, ctx) - 2 * cl2(2 * pha - 2 * phi, ctx)
                + cl2(2 * pha - 4 * phi, ctx) + 2 * cl2(2 * pha + 2 * phb - 2 * phi, ctx)
@@ -188,9 +185,7 @@ def _duplication(params, ctx):
 
 
 def _vector_relations(relations, vectors):
-    def build(params, ctx):
-        m = feynman.MassPair(ctx.mpf(params["a"]), ctx.mpf(params["b"]))
-        ang = feynman.derive(m, ctx)
+    def build(ang, ctx):
         values = {}
         for vec in vectors:
             values.update(getattr(feynman, vec)(ang, ctx))
@@ -202,33 +197,25 @@ def _vector_relations(relations, vectors):
     return build
 
 
-def _i1_plus_i2(params, ctx):
-    m = feynman.MassPair(ctx.mpf(params["a"]), ctx.mpf(params["b"]))
-    ang = feynman.derive(m, ctx)
+def _i1_plus_i2(ang, ctx):
     closed = feynman.closed_integrals(ang, feynman.q_vector(ang, ctx), ctx)
     return abs(closed["I1"] + closed["I2"])
 
 
-def _angle_relations(params, ctx):
-    m = feynman.MassPair(ctx.mpf(params["a"]), ctx.mpf(params["b"]))
-    ang = feynman.derive(m, ctx)
+def _angle_relations(ang, ctx):
     residuals = feynman.angle_identity_residuals(ang, ctx)
     return max(abs(v) for v in residuals.values())
 
 
 def _broadhurst_c11(params, ctx):
     m = feynman.MassPair(ctx.mpf(1), ctx.mpf(1))
-    al = _alpha_broadhurst(ctx)
-    rhs = 4 * ctx.sqrt(2) * (cl2(4 * al, ctx) - cl2(2 * al, ctx))
-    return abs(feynman.c_closed(m, ctx) - rhs)
+    return abs(feynman.c_closed(m, ctx) - _c11_clausen_form(ctx))
 
 
-def _prop1_t_checks(params, ctx):
+def _prop1_t_checks(angles, ctx):
     # The three unit ratios produced by differentiating the eight-term sum:
     # each residual is numerator - denominator of one ratio.
-    a, b = ctx.mpf(params["a"]), ctx.mpf(params["b"])
-    d, p, phi, pha, _ = _phis(a, b, ctx)
-    ga = ctx.atan((p + ctx.sqrt(2 * b * b + 4 * b)) / d)
+    _, _, phi, pha, _, ga = angles
     half_pi = ctx.pi / 2
     sin = ctx.sin
     t1 = (sin(ga + pha - half_pi) * sin(ga + phi - half_pi)
@@ -240,9 +227,8 @@ def _prop1_t_checks(params, ctx):
     return max(abs(t1), abs(t2), abs(t3))
 
 
-def _prop2_log_checks(params, ctx):
-    a, b = ctx.mpf(params["a"]), ctx.mpf(params["b"])
-    _, _, phi, pha, phb = _phis(a, b, ctx)
+def _prop2_log_checks(angles, ctx):
+    _, _, phi, pha, phb, _ = angles
     sin = ctx.sin
     u1 = (sin(phi) * sin(pha - phi) * sin(pha + 2 * phb - 2 * phi)
           - sin(phb - phi) * sin(pha - 2 * phi) * sin(pha + phb - phi))
@@ -302,21 +288,17 @@ def _harmonic_sum(z, ctx):
         n += 1
 
 
-def _harmonic_closed_form_residual(z, ctx):
+def _harmonic_closed_form(params, ctx):
+    if params.get("point") == "complex":
+        z = ctx.mpc(0, -1) / ctx.sqrt(8)
+    else:
+        z = ctx.mpf(params["z"])
     lhs = _harmonic_sum(z, ctx)
     log1m = ctx.log(1 - z)
     log1p = ctx.log(1 + z)
     rhs = (log1m ** 2 / 2 - log1p ** 2 / 2 + ctx.ln2 * (log1m - log1p)
            + li2((1 + z) / 2, ctx) - li2((1 - z) / 2, ctx)) / 2
     return abs(lhs - rhs)
-
-
-def _harmonic_closed_form(params, ctx):
-    if params.get("point") == "complex":
-        z = ctx.mpc(0, -1) / ctx.sqrt(8)
-    else:
-        z = ctx.mpf(params["z"])
-    return _harmonic_closed_form_residual(z, ctx)
 
 
 def _harmonic_gf(params, ctx):
@@ -351,58 +333,58 @@ def _chain_constants(ctx):
     return x, y, u, z
 
 
-def _chain_residual(step, ctx):
+def _memo_li2(ctx):
+    """``li2`` at working precision, computed once per argument value."""
+    return lru_cache(maxsize=None, typed=True)(lambda v: li2(v, ctx))
+
+
+def _chain_residual(step, params, ctx, li2_at=None):
+    """Builder of one chain step (no params); ``li2_at`` shares dilogarithms."""
+    li2_at = li2_at or _memo_li2(ctx)
     mp = ctx._mp
     x, y, u, z = _chain_constants(ctx)
     pi2_6 = ctx.pi ** 2 / 6
     log = ctx.log
     if step == "2.1":
-        lhs = li2(u * u, ctx)
-        rhs = (li2(1 - z, ctx) + li2(1 / (1 + z), ctx) - li2(x, ctx)
-               - li2(y, ctx) + ctx.ln2 * log(1 - x))
+        lhs = li2_at(u * u)
+        rhs = (li2_at(1 - z) + li2_at(1 / (1 + z)) - li2_at(x)
+               - li2_at(y) + ctx.ln2 * log(1 - x))
     elif step == "2.2":
-        lhs = li2(1 - z, ctx)
-        rhs = -li2(z, ctx) + pi2_6 - log(z) * log(1 - z)
+        lhs = li2_at(1 - z)
+        rhs = -li2_at(z) + pi2_6 - log(z) * log(1 - z)
     elif step == "2.3":
-        lhs = li2(1 / (1 + z), ctx)
-        rhs = li2(-z, ctx) + pi2_6 - log(1 + z) * log((1 + z) / (z * z)) / 2
+        lhs = li2_at(1 / (1 + z))
+        rhs = li2_at(-z) + pi2_6 - log(1 + z) * log((1 + z) / (z * z)) / 2
     elif step == "2.4":
-        lhs = li2(u * u, ctx)
-        rhs = (li2(mp.conj(z), ctx) - li2(z, ctx) - li2(x, ctx) + ctx.pi ** 2 / 3
-               - li2(y, ctx) + ctx.ln2 * log(1 - x) - log(z) * log(1 - z)
+        lhs = li2_at(u * u)
+        rhs = (li2_at(mp.conj(z)) - li2_at(z) - li2_at(x) + ctx.pi ** 2 / 3
+               - li2_at(y) + ctx.ln2 * log(1 - x) - log(z) * log(1 - z)
                - log(1 + z) * log((1 + z) / (z * z)) / 2)
     elif step == "2.5":
-        lhs = li2(x, ctx) + li2(-u * u, ctx)
+        lhs = li2_at(x) + li2_at(-u * u)
         rhs = -log(1 - x) ** 2 / 2
     elif step == "2.6":
-        lhs = li2(u * u, ctx) + li2(-u * u, ctx)
-        rhs = li2(u ** 4, ctx) / 2
+        lhs = li2_at(u * u) + li2_at(-u * u)
+        rhs = li2_at(u ** 4) / 2
     elif step == "2.7":
-        lhs = li2(u ** 4, ctx)
-        rhs = 2 * li2(u * u, ctx) - 2 * li2(x, ctx) - log(1 - x) ** 2
+        lhs = li2_at(u ** 4)
+        rhs = 2 * li2_at(u * u) - 2 * li2_at(x) - log(1 - x) ** 2
     elif step == "2.8":
-        lhs = li2(u ** 4, ctx) - li2(u * u, ctx)
-        rhs = (li2(mp.conj(z), ctx) - li2(z, ctx) - 3 * li2(x, ctx) + ctx.pi ** 2 / 3
-               - li2(y, ctx) + ctx.ln2 * log(1 - x) - log(1 - x) ** 2
+        lhs = li2_at(u ** 4) - li2_at(u * u)
+        rhs = (li2_at(mp.conj(z)) - li2_at(z) - 3 * li2_at(x) + ctx.pi ** 2 / 3
+               - li2_at(y) + ctx.ln2 * log(1 - x) - log(1 - x) ** 2
                - log(z) * log(1 - z) - log(1 + z) * log((1 + z) / (z * z)) / 2)
     elif step == "2.9":
         i = ctx.mpc(0, 1)
-        lhs = (li2(u ** 4, ctx) - li2(u * u, ctx)).imag
+        lhs = (li2_at(u ** 4) - li2_at(u * u)).imag
         rest = (ctx.ln2 * log(1 - x) - log(1 - x) ** 2 - log(z) * log(1 - z)
                 - log(1 + z) * log((1 + z) / (z * z)) / 2)
-        rhs = ((li2(mp.conj(z), ctx) - li2(z, ctx)) / i
-               - 3 * (li2(x, ctx) - li2(mp.conj(x), ctx)) / (2 * i) + rest.imag)
+        rhs = ((li2_at(mp.conj(z)) - li2_at(z)) / i
+               - 3 * (li2_at(x) - li2_at(mp.conj(x))) / (2 * i) + rest.imag)
         return abs(lhs - rhs.real) + abs(rhs.imag)
     else:
         raise ValueError("unknown chain step %r" % step)
     return abs(lhs - rhs)
-
-
-def _chain_builder(step):
-    def build(params, ctx):
-        return _chain_residual(step, ctx)
-
-    return build
 
 
 def broadhurst_series(ctx: PrecisionCtx, terms: int) -> BroadhurstSeries:
@@ -438,13 +420,14 @@ def _broadhurst_series_identity(params, ctx):
     # Enough terms that the geometric tail sits below the evaluation noise.
     terms = int((ctx.digits + 8) / 0.903) + 2
     series = broadhurst_series(ctx, terms)
-    al = _alpha_broadhurst(ctx)
-    rhs = 4 * ctx.sqrt(2) * (cl2(4 * al, ctx) - cl2(2 * al, ctx))
-    return abs(series.value - rhs) + series.tail_bound
+    return abs(series.value - _c11_clausen_form(ctx)) + series.tail_bound
 
 
 def appendix_chain(ctx: PrecisionCtx) -> ChainReport:
-    """Residuals of every step of the dilogarithm chain plus its substitutions."""
+    """Residuals of every step of the dilogarithm chain plus its substitutions.
+
+    The nine steps share one ``li2`` value per distinct argument: ten, as z
+    is purely imaginary, so conj(z) = -z."""
     x, y, u, z = _chain_constants(ctx)
     residuals = {
         "subst-x-over-1mx": abs(x / (1 - x) - u * u),
@@ -453,9 +436,10 @@ def appendix_chain(ctx: PrecisionCtx) -> ChainReport:
         "subst-y-over-1mx": abs(y / (1 - x) - 1 / (1 + z)),
         "u-unit-modulus": abs(abs(u) - 1),
     }
+    li2_at = _memo_li2(ctx)
     for k in range(1, 10):
         step = "2.%d" % k
-        residuals["chain-" + step] = _chain_residual(step, ctx)
+        residuals["chain-" + step] = _chain_residual(step, {}, ctx, li2_at)
     residuals = {k: round_out(v, ctx) for k, v in residuals.items()}
     threshold = ctx.pow10(-ctx.digits + PASS_EXPONENT_MARGIN)
     passed = all(v < threshold for v in residuals.values())
@@ -463,7 +447,7 @@ def appendix_chain(ctx: PrecisionCtx) -> ChainReport:
 
 
 # ---------------------------------------------------------------------------
-# Samplers.
+# Samplers and catalog entries.
 # ---------------------------------------------------------------------------
 
 _MARGIN = 1e-3
@@ -473,24 +457,12 @@ def _sample_none(rng, index):
     return {}
 
 
-def _sample_t(rng, index):
-    return {"t": rng.uniform(0.01, 0.99)}
-
-
 def _sample_masses(rng, index):
     while True:
         a = rng.uniform(_MARGIN, 2 - _MARGIN)
         b = rng.uniform(_MARGIN, 2 - _MARGIN)
         if a * a + b * b <= 4 - 2 * _MARGIN:
             return {"a": a, "b": b}
-
-
-def _sample_x_angle(rng, index):
-    return {"x": rng.uniform(_MARGIN, 3.14)}
-
-
-def _sample_x_unit(rng, index):
-    return {"x": rng.uniform(_MARGIN, 1 - _MARGIN)}
 
 
 def _sample_xy_abel(rng, index):
@@ -509,104 +481,106 @@ def _sample_z_series(rng, index):
     return {"z": rng.uniform(_MARGIN, 0.95)}
 
 
-def _sample_x_series(rng, index):
-    return {"x": rng.uniform(_MARGIN, 0.95)}
+def _uniform_spec(name, var, lo, hi, builder, description, note=""):
+    """A proven identity in one variable drawn uniformly from (lo, hi)."""
+    def sample(rng, index):
+        return {var: rng.uniform(lo, hi)}
 
+    return IdentitySpec(name, ((var, "(%s, %s)%s" % (lo, hi, note)),), "proven",
+                        builder, sample, description)
 
-# ---------------------------------------------------------------------------
-# The catalog.
-# ---------------------------------------------------------------------------
 
 _MASS_PARAMS = (("a", "(0.001, 2) with a^2+b^2 <= 4-0.002"),
                 ("b", "(0.001, 2) with a^2+b^2 <= 4-0.002"))
 
-_CATALOG: list | None = None
+
+def _reduction(a, b, ctx):
+    return feynman.derive(feynman.MassPair(a, b), ctx)
+
+
+def _mass_spec(name, angles, builder, description):
+    """A proven identity at sampled masses a, b; ``builder`` gets ``angles(a, b, ctx)``."""
+    def build(params, ctx):
+        return builder(angles(ctx.mpf(params["a"]), ctx.mpf(params["b"]), ctx), ctx)
+
+    return IdentitySpec(name, _MASS_PARAMS, "proven", build, _sample_masses, description)
+
+
+_UNIT = (_MARGIN, 1 - _MARGIN)
+
+_CATALOG = (
+    IdentitySpec("conj-1.1", (), "proven", _conj_11, _sample_none,
+                 "four Cl2 values at tan(alpha)=1/sqrt(2) sum to 7/4 Cl2(2pi/3)"),
+    IdentitySpec("conj-1.2", (), "proven", _conj_12, _sample_none,
+                 "Cl2(6a-pi)+Cl2(pi+2a)-2Cl2(2a)+2Cl2(pi-4a) = 0"),
+    IdentitySpec("conj-1.3", (), "proven", _conj_13, _sample_none,
+                 "seven-term relation at tan(beta)=sqrt(8)+sqrt(3)"),
+    IdentitySpec("conj-1.4", (), "conjectural", _conj_14, _sample_none,
+                 "-12,4,-12,-18,7 relation; numerically confirmed only"),
+    _uniform_spec("theorem-1", "t", 0.01, 0.99, _theorem_1,
+                  "seven-term family with sin(alpha) = tan(beta/2)", "; tan(alpha/2)=t"),
+    _mass_spec("prop-1", feynman._prop_angles, _prop_1,
+               "eight-term family in gamma, phi, phi_a"),
+    _mass_spec("prop-2", feynman._prop_angles, _prop_2,
+               "eight-term family in phi, phi_a, phi_b"),
+    _uniform_spec("duplication", "x", _MARGIN, 3.14, _duplication,
+                  "Cl2(2x) = 2Cl2(x) - 2Cl2(pi-x)"),
+    _mass_spec("q-relations", _reduction,
+               _vector_relations(feynman.Q_RELATIONS, ("q_vector",)),
+               "duplication consequences among q1..q13"),
+    _mass_spec("i1-plus-i2", _reduction, _i1_plus_i2,
+               "closed forms of the mass-free pieces cancel"),
+    _mass_spec("r-relations", _reduction,
+               _vector_relations(feynman.R_RELATIONS, ("r_vector",)),
+               "six integer relations among r1..r19"),
+    _mass_spec("rs-relations", _reduction,
+               _vector_relations(feynman.RS_RELATIONS, ("r_vector", "s_vector")),
+               "seven relations tying r to s values"),
+    _mass_spec("angle-relations", _reduction, _angle_relations,
+               "seven angle identities behind the r-s map"),
+    IdentitySpec("broadhurst-c11", (), "proven", _broadhurst_c11, _sample_none,
+                 "C(1,1) = 4 sqrt(2) (Cl2(4a)-Cl2(2a)), sin(a)=1/3"),
+    _mass_spec("prop1-T-checks", feynman._prop_angles, _prop1_t_checks,
+               "the three unit ratios in the derivative of prop-1"),
+    _mass_spec("prop2-log-checks", feynman._prop_angles, _prop2_log_checks,
+               "the three unit ratios in the derivative of prop-2"),
+    _uniform_spec("lewin-1.1", "x", *_UNIT, _lewin_11, "Li2(x)+Li2(-x) = Li2(x^2)/2"),
+    _uniform_spec("lewin-1.2", "x", *_UNIT, _lewin_12, "Landen transformation"),
+    _uniform_spec("lewin-1.3", "x", *_UNIT, _lewin_13, "inversion-reflection combination"),
+    IdentitySpec("lewin-1.4", (("x", "(0.001, 0.999), x+y<1"),
+                               ("y", "(0.001, 0.999), x+y<1")), "proven",
+                 _lewin_14, _sample_xy_abel, "Abel's two-variable functional equation"),
+    _uniform_spec("lewin-1.5", "x", *_UNIT, _lewin_15, "reflection Li2(x)+Li2(1-x)"),
+    IdentitySpec("harmonic-closed-form",
+                 (("z", "(0.001, 0.95) real; sample 0 fixed at -i/sqrt(8)"),),
+                 "proven", _harmonic_closed_form, _sample_z_series,
+                 "sum H_n/(2n+1) z^(2n+1) in dilogarithms"),
+    _uniform_spec("harmonic-gf", "x", _MARGIN, 0.95, _harmonic_gf,
+                  "sum H_n x^(2n) = -log(1-x^2)/(1-x^2)"),
+    *(IdentitySpec("chain-2.%d" % k, (), "proven", partial(_chain_residual, "2.%d" % k),
+                   _sample_none, "dilogarithm chain step (2.%d)" % k)
+      for k in range(1, 10)),
+    IdentitySpec("broadhurst-series", (), "proven", _broadhurst_series_identity,
+                 _sample_none, "alternating harmonic series equals the Cl2 form of C(1,1)"),
+)
+
+_BY_NAME = {spec.name: spec for spec in _CATALOG}
 
 
 def catalog() -> list:
     """The full identity catalog, stable-keyed and ordered."""
-    global _CATALOG
-    if _CATALOG is not None:
-        return _CATALOG
-
-    entries = [
-        IdentitySpec("conj-1.1", (), "proven", _conj_11, _sample_none,
-                     "four Cl2 values at tan(alpha)=1/sqrt(2) sum to 7/4 Cl2(2pi/3)"),
-        IdentitySpec("conj-1.2", (), "proven", _conj_12, _sample_none,
-                     "Cl2(6a-pi)+Cl2(pi+2a)-2Cl2(2a)+2Cl2(pi-4a) = 0"),
-        IdentitySpec("conj-1.3", (), "proven", _conj_13, _sample_none,
-                     "seven-term relation at tan(beta)=sqrt(8)+sqrt(3)"),
-        IdentitySpec("conj-1.4", (), "conjectural", _conj_14, _sample_none,
-                     "-12,4,-12,-18,7 relation; numerically confirmed only"),
-        IdentitySpec("theorem-1", (("t", "(0.01, 0.99); tan(alpha/2)=t"),),
-                     "proven", _theorem_1, _sample_t,
-                     "seven-term family with sin(alpha) = tan(beta/2)"),
-        IdentitySpec("prop-1", _MASS_PARAMS, "proven", _prop_1, _sample_masses,
-                     "eight-term family in gamma, phi, phi_a"),
-        IdentitySpec("prop-2", _MASS_PARAMS, "proven", _prop_2, _sample_masses,
-                     "eight-term family in phi, phi_a, phi_b"),
-        IdentitySpec("duplication", (("x", "(0.001, 3.14)"),), "proven",
-                     _duplication, _sample_x_angle,
-                     "Cl2(2x) = 2Cl2(x) - 2Cl2(pi-x)"),
-        IdentitySpec("q-relations", _MASS_PARAMS, "proven",
-                     _vector_relations(feynman.Q_RELATIONS, ("q_vector",)),
-                     _sample_masses, "duplication consequences among q1..q13"),
-        IdentitySpec("i1-plus-i2", _MASS_PARAMS, "proven", _i1_plus_i2,
-                     _sample_masses, "closed forms of the mass-free pieces cancel"),
-        IdentitySpec("r-relations", _MASS_PARAMS, "proven",
-                     _vector_relations(feynman.R_RELATIONS, ("r_vector",)),
-                     _sample_masses, "six integer relations among r1..r19"),
-        IdentitySpec("rs-relations", _MASS_PARAMS, "proven",
-                     _vector_relations(feynman.RS_RELATIONS, ("r_vector", "s_vector")),
-                     _sample_masses, "seven relations tying r to s values"),
-        IdentitySpec("angle-relations", _MASS_PARAMS, "proven", _angle_relations,
-                     _sample_masses, "seven angle identities behind the r-s map"),
-        IdentitySpec("broadhurst-c11", (), "proven", _broadhurst_c11, _sample_none,
-                     "C(1,1) = 4 sqrt(2) (Cl2(4a)-Cl2(2a)), sin(a)=1/3"),
-        IdentitySpec("prop1-T-checks", _MASS_PARAMS, "proven", _prop1_t_checks,
-                     _sample_masses, "the three unit ratios in the derivative of prop-1"),
-        IdentitySpec("prop2-log-checks", _MASS_PARAMS, "proven", _prop2_log_checks,
-                     _sample_masses, "the three unit ratios in the derivative of prop-2"),
-        IdentitySpec("lewin-1.1", (("x", "(0.001, 0.999)"),), "proven",
-                     _lewin_11, _sample_x_unit, "Li2(x)+Li2(-x) = Li2(x^2)/2"),
-        IdentitySpec("lewin-1.2", (("x", "(0.001, 0.999)"),), "proven",
-                     _lewin_12, _sample_x_unit, "Landen transformation"),
-        IdentitySpec("lewin-1.3", (("x", "(0.001, 0.999)"),), "proven",
-                     _lewin_13, _sample_x_unit, "inversion-reflection combination"),
-        IdentitySpec("lewin-1.4", (("x", "(0.001, 0.999), x+y<1"),
-                                   ("y", "(0.001, 0.999), x+y<1")), "proven",
-                     _lewin_14, _sample_xy_abel, "Abel's two-variable functional equation"),
-        IdentitySpec("lewin-1.5", (("x", "(0.001, 0.999)"),), "proven",
-                     _lewin_15, _sample_x_unit, "reflection Li2(x)+Li2(1-x)"),
-        IdentitySpec("harmonic-closed-form",
-                     (("z", "(0.001, 0.95) real; sample 0 fixed at -i/sqrt(8)"),),
-                     "proven", _harmonic_closed_form, _sample_z_series,
-                     "sum H_n/(2n+1) z^(2n+1) in dilogarithms"),
-        IdentitySpec("harmonic-gf", (("x", "(0.001, 0.95)"),), "proven",
-                     _harmonic_gf, _sample_x_series,
-                     "sum H_n x^(2n) = -log(1-x^2)/(1-x^2)"),
-    ]
-    for k in range(1, 10):
-        step = "2.%d" % k
-        entries.append(IdentitySpec("chain-" + step, (), "proven",
-                                    _chain_builder(step), _sample_none,
-                                    "dilogarithm chain step (%s)" % step))
-    entries.append(IdentitySpec("broadhurst-series", (), "proven",
-                                _broadhurst_series_identity, _sample_none,
-                                "alternating harmonic series equals the Cl2 form of C(1,1)"))
-    _CATALOG = entries
-    return entries
+    return list(_CATALOG)
 
 
 def catalog_names() -> list:
-    return [spec.name for spec in catalog()]
+    return [spec.name for spec in _CATALOG]
 
 
 def get_spec(name: str) -> IdentitySpec:
-    for spec in catalog():
-        if spec.name == name:
-            return spec
-    raise KeyError("unknown identity %r" % name)
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise KeyError("unknown identity %r" % name) from None
 
 
 def evaluate(name: str, params: dict, ctx: PrecisionCtx):

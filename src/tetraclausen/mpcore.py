@@ -85,10 +85,6 @@ class PrecisionCtx:
         """Output precision in bits (``digits`` decimal digits)."""
         return libmp.libmpf.dps_to_prec(self.digits)
 
-    def eps_out(self):
-        """One unit in the last delivered decimal digit, as an mpf."""
-        return self._mp.mpf(10) ** (-self.digits)
-
     def pow10(self, k: int):
         return self._mp.mpf(10) ** k
 
@@ -179,15 +175,6 @@ class PrecisionCtx:
         if isinstance(x, self._mp.mpf) and abs(x) >= 1:
             raise DomainError("atanh requires |x| < 1, got %s" % x)
         return self._finite(self._mp.atanh(x))
-
-    def cosh(self, x):
-        return self._finite(self._mp.cosh(x))
-
-    def sinh(self, x):
-        return self._finite(self._mp.sinh(x))
-
-    def asinh(self, x):
-        return self._finite(self._mp.asinh(x))
 
     def nint(self, x) -> int:
         """Nearest integer as a Python int."""

@@ -1,19 +1,22 @@
 """Integer-relation detection for vectors of high-precision reals.
 
-The classic PSLQ iteration (Hermite reduction of the lower-trapezoidal H
-matrix with gamma = sqrt(4/3) row selection) is run in full working
-precision, with the integer change-of-basis matrix kept exact.  A run
-terminates in one of three ways:
+The classic PSLQ iteration (Ferguson, Bailey & Arno, Math. Comp. 68
+(1999) 351-369: Hermite reduction of the lower-trapezoidal H matrix with
+gamma = sqrt(4/3) row selection) is run in full working precision, with the
+integer change-of-basis matrix kept exact.  A run terminates in one of
+three ways:
 
 * ``found``      -- some normalized residual dropped below the detection
-                    threshold 10^(-0.7*digits) and the candidate coefficient
-                    vector re-checks at 20 extra digits;
+                    threshold 10^(-0.7*digits), and the candidate coefficient
+                    vector re-checks at 20 extra digits and has Euclidean
+                    norm at most ``max_norm``;
 * ``none_found`` -- the iteration certifies that no relation with Euclidean
                     norm below ``max_norm`` exists (exclusion bound
                     1/max|H_jj| exceeded it);
 * error          -- precision was exhausted before either verdict, raised as
                     :class:`InsufficientPrecision` (never conflated with a
-                    no-relation verdict).
+                    no-relation verdict), also after rejecting a relation
+                    above ``max_norm``.
 
 Detection applies to the scale-normalized vector x/|x|, so the verdict and
 coefficients are invariant under multiplying every input by one constant.
@@ -92,7 +95,7 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
 
     ``max_norm`` bounds the Euclidean norm of relations of interest: the
     search reports ``none_found`` once it can certify no relation with norm
-    below ``max_norm`` exists.
+    below ``max_norm`` exists, and never reports one above it as ``found``.
     """
     mp = ctx._mp
     n = len(xs)
@@ -133,36 +136,53 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
     for i in range(1, n + 1):
         B[i][i] = 1
 
-    # Full initial Hermite reduction.
-    for i in range(2, n + 1):
-        for j in range(i - 1, 0, -1):
-            if H[j][j] == 0:
-                continue
-            q = ctx.nint(H[i][j] / H[j][j])
-            if q:
-                y[j] += q * y[i]
-                for k in range(1, j + 1):
-                    H[i][k] -= q * H[j][k]
-                for k in range(1, n + 1):
-                    B[k][j] += q * B[k][i]
+    # Hermite reduction of rows first_row..n over columns <= min(i-1, last_col).
+    # H_jj starts positive (s_{j+1}/s_j): a zero means precision ran out.
+    def hermite_reduce(first_row, last_col):
+        for i in range(first_row, n + 1):
+            for j in range(min(i - 1, last_col), 0, -1):
+                if H[j][j] == 0:
+                    raise InsufficientPrecision("H developed a zero diagonal")
+                q = ctx.nint(H[i][j] / H[j][j])
+                if q:
+                    y[j] += q * y[i]
+                    for k in range(1, j + 1):
+                        H[i][k] -= q * H[j][k]
+                    for k in range(1, n + 1):
+                        B[k][j] += q * B[k][i]
 
-    def candidate(i):
-        vec = _canonical([B[k][i] for k in range(1, n + 1)])
-        if not any(vec):
+    def detect():
+        """The first relation among the columns with |y_i| < tol that has
+        norm at most max_norm and re-checks at 20 extra digits."""
+        y_min = min(abs(y[i]) for i in range(1, n + 1))
+        if y_min >= tol:
             return None
-        confirm = get_ctx(ctx.digits + 20, ctx.guard_digits)
-        resid = check_relation(vec, x, confirm)
-        scale = t
-        if resid < tol * scale:
-            return RelationResult("found", vec, round_out(ctx.mpf(resid), ctx), None)
+        rejected = []   # norms of candidates above max_norm
+        for i in range(1, n + 1):
+            if abs(y[i]) >= tol:
+                continue
+            vec = _canonical([B[k][i] for k in range(1, n + 1)])
+            if not any(vec):
+                continue
+            norm = ctx.sqrt(ctx.mpf(sum(c * c for c in vec)))
+            if norm > max_norm:
+                rejected.append(norm)
+                continue
+            resid = check_relation(vec, x, get_ctx(ctx.digits + 20, ctx.guard_digits))
+            if resid < tol * t:
+                return RelationResult("found", vec, round_out(ctx.mpf(resid), ctx), None)
+        if y_min < noise_floor:
+            raise InsufficientPrecision(
+                "residual at the noise floor; rejected a relation of norm %s above"
+                " max_norm" % mp.nstr(min(rejected), 6) if rejected else
+                "residual at the noise floor but candidate failed confirmation")
         return None
 
-    # A relation may already be exposed by the initial reduction.
-    for i in range(1, n + 1):
-        if abs(y[i]) < tol:
-            res = candidate(i)
-            if res is not None:
-                return res
+    # The full initial reduction may already expose a relation.
+    hermite_reduce(2, n)
+    res = detect()
+    if res is not None:
+        return res
 
     for _ in range(max_iterations):
         # Row selection: maximize gamma^i |H_ii|.
@@ -191,29 +211,10 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
                 a_, b_ = H[i][m_row], H[i][m_row + 1]
                 H[i][m_row] = c0 * a_ + s0 * b_
                 H[i][m_row + 1] = -s0 * a_ + c0 * b_
-        # Hermite reduction below the swapped rows.
-        for i in range(m_row + 1, n + 1):
-            for j in range(min(i - 1, m_row + 1), 0, -1):
-                if H[j][j] == 0:
-                    raise InsufficientPrecision("H developed a zero diagonal")
-                q = ctx.nint(H[i][j] / H[j][j])
-                if q:
-                    y[j] += q * y[i]
-                    for k in range(1, j + 1):
-                        H[i][k] -= q * H[j][k]
-                    for k in range(1, n + 1):
-                        B[k][j] += q * B[k][i]
-        # Detection.
-        y_min = min(abs(y[i]) for i in range(1, n + 1))
-        if y_min < tol:
-            for i in range(1, n + 1):
-                if abs(y[i]) < tol:
-                    res = candidate(i)
-                    if res is not None:
-                        return res
-            if y_min < noise_floor:
-                raise InsufficientPrecision(
-                    "residual at the noise floor but candidate failed confirmation")
+        hermite_reduce(m_row + 1, m_row + 1)
+        res = detect()
+        if res is not None:
+            return res
         # Exclusion bound: every relation has norm >= 1/max|H_jj|.
         h_max = mp.mpf(0)
         for j in range(1, n):

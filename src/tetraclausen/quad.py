@@ -247,26 +247,25 @@ def _sum_level_semiinf(f, lo, prec, level, tiny):
 # Public entry point.
 # ---------------------------------------------------------------------------
 
-def integrate(f, domain, tol, ctx: PrecisionCtx, max_levels: int = MAX_LEVELS):
+def integrate(f, domain, tol, ctx: PrecisionCtx):
     """Integrate ``f`` over ``domain = (lo, hi)`` to absolute tolerance ``tol``.
 
-    ``hi`` may be ``ctx.inf`` (or the string ``"inf"``) for a semi-infinite
-    domain.  ``f`` receives working-precision mpf reals and must return an
-    mpf, or a tuple of them; it may diverge integrably at the endpoints but
-    is never called there.
+    ``hi`` may be ``ctx.inf`` for a semi-infinite domain.  ``f`` receives
+    working-precision mpf reals and must return an mpf, or a tuple of them;
+    it may diverge integrably at the endpoints but is never called there.
 
     Returns a :class:`QuadratureResult` whose ``error_estimate`` bounds
     ``|value - true integral|`` and is at most ``tol`` on success; for a
     tuple integrand, :class:`QuadratureResults` with one per component, all
     sharing one ``evaluations`` count (an empty domain calls nothing and
-    returns one result).  Raises :class:`QuadratureError` (carrying the best result) if
-    the level cap is reached without convergence, or if the integrand fails
-    at an interior point.
+    returns one result).  Raises :class:`QuadratureError` (carrying the best
+    result) if :data:`MAX_LEVELS` levels do not converge, or if the integrand
+    fails at an interior point.
     """
     mp = ctx._mp
     lo, hi = domain
     lo = ctx.mpf(lo)
-    semi_infinite = hi == ctx.inf or (isinstance(hi, str) and hi.strip() in ("inf", "+inf"))
+    semi_infinite = hi == ctx.inf
     if not semi_infinite:
         hi = ctx.mpf(hi)
         if not (lo < hi):
@@ -318,7 +317,7 @@ def integrate(f, domain, tol, ctx: PrecisionCtx, max_levels: int = MAX_LEVELS):
 
     scale = halfw if not semi_infinite else mp.mpf(1)
     s_prev = None
-    for m in range(max_levels + 1):
+    for m in range(MAX_LEVELS + 1):
         h = mp.mpf(2) ** (-m)
         sums = level_sum(m)
         if sums is None:  # no node of this level lies inside the domain
@@ -337,6 +336,6 @@ def integrate(f, domain, tol, ctx: PrecisionCtx, max_levels: int = MAX_LEVELS):
 
     raise QuadratureError(
         "no convergence to tol=%s after %d levels (best estimate %s)"
-        % (mp.nstr(tol, 3), max_levels, mp.nstr(max(diffs), 3)),
+        % (mp.nstr(tol, 3), MAX_LEVELS, mp.nstr(max(diffs), 3)),
         result=results(s_prev, diffs),
     )

@@ -181,19 +181,6 @@ class TestRoutes:
         lhs = 2 * report.angles.d * (report.i_closed["I3"] + report.i_closed["I4"])
         assert abs(lhs - s_sum) < ctx50.pow10(-40)
 
-    def test_step_report_serialization(self, ctx50):
-        report = stepwise(MassPair(ctx50.mpf(1), ctx50.mpf(1)), ctx50)
-        doc = report.to_dict(ctx50)
-        assert set(doc["integrals"]) == {"I1", "I2", "I3", "I4"}
-        assert set(doc["vectors"]) == {"q", "r", "s"}
-        assert len(doc["vectors"]["q"]) == 13
-        assert len(doc["vectors"]["r"]) == 19
-        assert len(doc["vectors"]["s"]) == 8
-        for entry in doc["vectors"]["r"].values():
-            float(entry["angle"].replace("e", "E") or 0)  # decimal strings
-            assert isinstance(entry["value"], str)
-        assert isinstance(doc["integrals"]["I2"]["evaluations"], int)
-
 
 def test_masspair_invariants():
     with pytest.raises(DomainError):

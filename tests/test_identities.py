@@ -163,6 +163,23 @@ class TestAppendixChain:
         assert report.residuals["subst-x-over-1mx"] < ctx50.pow10(-45)
         assert report.residuals["u-unit-modulus"] < ctx50.pow10(-45)
 
+    def test_each_dilogarithm_once(self, ctx60, monkeypatch):
+        # 34 li2 calls on 11 arguments before sharing; conj(z) = -z leaves 10.
+        calls = []
+        real = identities.li2
+
+        def counting(z, ctx):
+            calls.append(z)
+            return real(z, ctx)
+
+        monkeypatch.setattr(identities, "li2", counting)
+        report = appendix_chain(ctx60)
+        assert len(calls) <= 11
+        monkeypatch.undo()
+        for k in range(1, 10):
+            name = "chain-2.%d" % k
+            assert report.residuals[name]._mpf_ == evaluate(name, {}, ctx60)._mpf_, name
+
     def test_steps_individually_cataloged(self, ctx60):
         # a failure would localize to one derivation step
         for k in range(1, 10):

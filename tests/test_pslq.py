@@ -98,6 +98,15 @@ class TestFindRelation:
         assert check_relation(r.coeffs, [confirm.mpf(1), confirm.pi], confirm) \
             < confirm.pow10(-11)
 
+    def test_relation_above_max_norm_not_found(self, ctx60):
+        # (700, -900, 1100, 1) has norm ~1584: found under max_norm 10^4,
+        # never reported as found under 1000.
+        xs = [ctx60.pi, ctx60.ln2, ctx60.sqrt(3)]
+        xs.append(-(700 * xs[0] - 900 * xs[1] + 1100 * xs[2]))
+        assert find_relation(xs, 10 ** 4, ctx60).coeffs == (700, -900, 1100, 1)
+        with pytest.raises(InsufficientPrecision, match="above max_norm"):
+            find_relation(xs, 1000, ctx60)
+
     def test_input_validation(self, ctx100):
         with pytest.raises(ValueError):
             find_relation([ctx100.mpf(1)], 100, ctx100)
