@@ -94,14 +94,13 @@ class DerivedAngles:
     alpha2: object
     alpha3: object
     alpha4: object
-    alpha6: object
+    alpha6: object     # also the chain's delta8 = arctan(p/d)
     alpha7: object
     delta1: object
     delta2: object
     delta3: object
     delta4: object
     delta7: object
-    delta8: object
     delta9: object
     delta10: object
     delta11: object
@@ -171,7 +170,6 @@ def derive(m: MassPair, ctx: PrecisionCtx) -> DerivedAngles:
         delta3=2 * ctx.atan((c * d + a * b) / (2 * d - b * c)),
         delta4=2 * ctx.atan((c * d + a * b) / (2 * d + b * c)),
         delta7=ctx.atan(a / d),
-        delta8=ctx.atan(p / d),
         delta9=ctx.atan((a - b - 2) / d),
         delta10=ctx.atan((a - b + 2) / d),
         delta11=ctx.atan((a + b - 2) / d),
@@ -221,7 +219,6 @@ def _assert_angle_invariants(ang: DerivedAngles, ctx: PrecisionCtx):
         "sin(alpha4)": ctx.sin(ang.alpha4) - (a / c + d * d / (c * p)),
         "tan(alpha6)": ctx.tan(ang.alpha6) - p / d,
         "tan(alpha7)": ctx.tan(ang.alpha7) - (p + ctx.sqrt(2 * b * b + 4 * b)) / d,
-        "delta8=alpha6": ang.delta8 - ang.alpha6,
         "closure": (4 - a * a) * (4 - b * b) - a * a * b * b - 4 * d * d,
     }
     checks.update(angle_identity_residuals(ang, ctx))
@@ -261,7 +258,7 @@ def r_vector(ang: DerivedAngles, ctx: PrecisionCtx) -> dict:
         "r5": ang.delta4 - ang.alpha4, "r6": ang.delta4 - ang.alpha3,
         "r7": ang.delta3 + ang.alpha3, "r8": ang.delta3 + ang.alpha4,
         "r9": 2 * ang.alpha6 - 2 * ang.delta7, "r10": 2 * ang.alpha7 - 2 * ang.delta7,
-        "r11": 2 * ang.alpha7 - 2 * ang.delta8, "r12": 2 * ang.alpha6 - 2 * ang.delta9,
+        "r11": 2 * ang.alpha7 - 2 * ang.alpha6, "r12": 2 * ang.alpha6 - 2 * ang.delta9,
         "r13": 2 * ang.alpha7 - 2 * ang.delta9, "r14": 2 * ang.alpha6 - 2 * ang.delta10,
         "r15": 2 * ang.alpha7 - 2 * ang.delta10, "r16": 2 * ang.alpha6 - 2 * ang.delta11,
         "r17": 2 * ang.alpha7 - 2 * ang.delta11, "r18": pi - 2 * ang.alpha6,
@@ -328,8 +325,8 @@ def relation_residual(values: dict, combo) -> object:
 # 1/(2d) for I3 and I4) times an integer combination of q or r values.  I4
 # comes from applying the log(tan x - tan delta) closed form to the five
 # linear factors of its integrand with weights +2,+1,+1,-1,-1 for delta7,
-# delta8, delta9, delta10, delta11; the pure-log parts cancel identically and
-# the 2alpha6-2delta8 term is Cl2(0) = 0.
+# delta8 = alpha6, delta9, delta10, delta11; the pure-log parts cancel
+# identically and the 2alpha6-2delta8 term is Cl2(0) = 0.
 I_CLOSED = (
     ("I1", (("q1", -1), ("q2", 1), ("q3", 2))),
     ("I2", (("q4", -1), ("q5", 1), ("q6", -1), ("q7", -1), ("q8", 1), ("q9", -1),

@@ -269,20 +269,21 @@ def _lewin_15(params, ctx):
                + ctx.log(x) * ctx.log(1 - x))
 
 
-def _harmonic_sum(z, ctx):
-    """sum_{n>=1} H_n/(2n+1) z^(2n+1) for |z| < 1 (real or complex)."""
+def _harmonic_series(z, odd, ctx):
+    """sum_{n>=1} H_n z^(2n+1)/(2n+1) if ``odd``, else sum_{n>=1} H_n z^(2n),
+    for |z| < 1 (real or complex)."""
     mp = ctx._mp
     eps = mp.mpf(2) ** (-ctx.prec_work - 12)
     z2 = z * z
-    power = z * z2
+    power, scale = (z * z2, abs(z)) if odd else (z2, abs(z2))
     h = mp.mpf(0)
     total = mp.mpf(0)
     n = 1
     while True:
         h += mp.mpf(1) / n
-        term = h * power / (2 * n + 1)
+        term = h * power / (2 * n + 1) if odd else h * power
         total += term
-        if abs(term) < eps * max(abs(total), abs(z)):
+        if abs(term) < eps * max(abs(total), scale):
             return total
         power *= z2
         n += 1
@@ -293,7 +294,7 @@ def _harmonic_closed_form(params, ctx):
         z = ctx.mpc(0, -1) / ctx.sqrt(8)
     else:
         z = ctx.mpf(params["z"])
-    lhs = _harmonic_sum(z, ctx)
+    lhs = _harmonic_series(z, True, ctx)
     log1m = ctx.log(1 - z)
     log1p = ctx.log(1 + z)
     rhs = (log1m ** 2 / 2 - log1p ** 2 / 2 + ctx.ln2 * (log1m - log1p)
@@ -303,23 +304,9 @@ def _harmonic_closed_form(params, ctx):
 
 def _harmonic_gf(params, ctx):
     x = ctx.mpf(params["x"])
-    mp = ctx._mp
-    eps = mp.mpf(2) ** (-ctx.prec_work - 12)
     x2 = x * x
-    power = x2
-    h = mp.mpf(0)
-    total = mp.mpf(0)
-    n = 1
-    while True:
-        h += mp.mpf(1) / n
-        term = h * power
-        total += term
-        if abs(term) < eps * max(abs(total), x2):
-            break
-        power *= x2
-        n += 1
     rhs = -ctx.log(1 - x2) / (1 - x2)
-    return abs(total - rhs)
+    return abs(_harmonic_series(x, False, ctx) - rhs)
 
 
 # -- dilogarithm chain ------------------------------------------------------

@@ -29,6 +29,13 @@ exact Laplace-transform tail
 
 evaluated by quadrature.  It shares nothing with the primary route past
 elementary functions and serves as its cross-check oracle.
+
+The dilogarithm has one series, in w = -log(1-z) ('t Hooft & Veltman,
+Nucl. Phys. B153 (1979) 365; see ``_li2_log_series``).  w comes from
+``log1p``, so a tiny |z| keeps its relative precision.  Arguments with
+|z| > 1 are inverted and those with |1-z| <= 1/2 reflected to 1-z; the series
+then sees |w| < 1.49 (at most log 2 after the reflection), so each term is
+below (|w|/2pi)^2 < 0.057 of the one before.
 """
 
 from __future__ import annotations
@@ -259,30 +266,14 @@ def _cl2_tail_integrand(t, cos_t, sin_t, M, hi: PrecisionCtx):
 # Dilogarithm.
 # ---------------------------------------------------------------------------
 
-def _li2_power_series(z, ctx: PrecisionCtx):
-    """sum z^n/n^2 for |z| <= 1/2 (real or complex)."""
-    mp = ctx._mp
-    eps = mp.mpf(2) ** (-ctx.prec_work - 4)
-    total = z
-    power = z
-    n = 2
-    while True:
-        power *= z
-        term = power / (n * n)
-        total += term
-        if abs(term) < eps * abs(total):
-            return total
-        n += 1
-
-
 def _li2_log_series(z, ctx: PrecisionCtx):
-    """Li2 via the expansion in w = -log(1-z), valid for |w| < 2pi.
+    """Li2 via the expansion in w = -log(1-z), valid for |w| < 2pi (module doc).
 
     Li2(z) = sum_{n>=0} B_n/(n! (n+1)) w^(n+1)
            = w - w^2/4 + sum_{k>=1} B_2k/((2k)! (2k+1)) w^(2k+1).
     """
     mp = ctx._mp
-    w = -ctx.log(1 - z)
+    w = -mp.log1p(-z)
     eps = mp.mpf(2) ** (-ctx.prec_work - 4)
     total = 1 - w / 4
     w2 = w * w
@@ -311,11 +302,9 @@ def _li2_main(z, ctx: PrecisionCtx):
         # values with Im Li2 = -pi*log z).
         logterm = ctx.log(-z)
         return -_li2_main(1 / z, ctx) - ctx.pi ** 2 / 6 - logterm ** 2 / 2
-    if abs(z) <= mp.mpf(1) / 2:
-        return _li2_power_series(z, ctx)
     if abs(1 - z) <= mp.mpf(1) / 2:
         # Reflection: Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z).
-        return ctx.pi ** 2 / 6 - ctx.log(z) * ctx.log(1 - z) - _li2_power_series(1 - z, ctx)
+        return ctx.pi ** 2 / 6 - ctx.log(z) * ctx.log(1 - z) - _li2_log_series(1 - z, ctx)
     return _li2_log_series(z, ctx)
 
 

@@ -130,11 +130,9 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
         for j in range(1, i):
             H[i][j] = -y[i] * y[j] / (s[j] * s[j + 1])
 
-    # Exact integer change-of-basis matrix: column i of B holds the integer
-    # combination whose residual is y[i]*t.
-    B = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        B[i][i] = 1
+    # Exact integer relations: rel[i] is the integer combination of x whose
+    # residual is y[i]*t (rel[0] is unused, like y[0] and H[0]).
+    rel = [[int(k == i) for k in range(1, n + 1)] for i in range(n + 1)]
 
     # Hermite reduction of rows first_row..n over columns <= min(i-1, last_col).
     # H_jj starts positive (s_{j+1}/s_j): a zero means precision ran out.
@@ -148,12 +146,11 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
                     y[j] += q * y[i]
                     for k in range(1, j + 1):
                         H[i][k] -= q * H[j][k]
-                    for k in range(1, n + 1):
-                        B[k][j] += q * B[k][i]
+                    rel[j] = [u + q * v for u, v in zip(rel[j], rel[i])]
 
     def detect():
-        """The first relation among the columns with |y_i| < tol that has
-        norm at most max_norm and re-checks at 20 extra digits."""
+        """The first relation rel[i] with |y_i| < tol that has norm at
+        most max_norm and re-checks at 20 extra digits."""
         y_min = min(abs(y[i]) for i in range(1, n + 1))
         if y_min >= tol:
             return None
@@ -161,7 +158,7 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
         for i in range(1, n + 1):
             if abs(y[i]) >= tol:
                 continue
-            vec = _canonical([B[k][i] for k in range(1, n + 1)])
+            vec = _canonical(rel[i])
             if not any(vec):
                 continue
             norm = ctx.sqrt(ctx.mpf(sum(c * c for c in vec)))
@@ -195,11 +192,9 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
             if size > best:
                 best = size
                 m_row = i
-        # Swap rows m, m+1.
-        y[m_row], y[m_row + 1] = y[m_row + 1], y[m_row]
-        H[m_row], H[m_row + 1] = H[m_row + 1], H[m_row]
-        for k in range(1, n + 1):
-            B[k][m_row], B[k][m_row + 1] = B[k][m_row + 1], B[k][m_row]
+        # Swap entries m, m+1.
+        for v in (y, H, rel):
+            v[m_row], v[m_row + 1] = v[m_row + 1], v[m_row]
         # Corner transformation.
         if m_row <= n - 2:
             h_mm, h_mm1 = H[m_row][m_row], H[m_row][m_row + 1]
@@ -216,11 +211,7 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
         if res is not None:
             return res
         # Exclusion bound: every relation has norm >= 1/max|H_jj|.
-        h_max = mp.mpf(0)
-        for j in range(1, n):
-            h_abs = abs(H[j][j])
-            if h_abs > h_max:
-                h_max = h_abs
+        h_max = max(abs(H[j][j]) for j in range(1, n))
         if h_max == 0:
             raise InsufficientPrecision("H diagonal vanished")
         bound = 1 / h_max

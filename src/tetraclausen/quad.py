@@ -13,7 +13,9 @@ below one ulp of the endpoint itself, and the integrand is never evaluated
 exactly at ``lo`` or ``hi``.
 
 Levels halve the mesh and reuse previous abscissas.  Convergence is declared
-when two successive level sums differ by less than ``tol/2``.
+when two successive level sums differ by less than ``tol/2``.  Both rules
+share one t grid per level; each (precision, level) pair's nodes are built
+once per process and kept by ``functools.lru_cache``.
 
 An integrand may return a tuple of reals; its components then share the
 nodes and the node loop, and convergence and the tail cut-off wait for the
@@ -24,7 +26,7 @@ The node loops compute on mpmath's raw ``_mpf_`` tuples through
 abscissa into an mpf once and unwrap the integrand's results once per
 evaluation.  With ``p = ctx.prec_work``:
 
-* node offsets and weights are computed and cached at ``p + 20`` bits;
+* node offsets and weights are computed at ``p + 20`` bits;
 * abscissas are computed at ``p``: ``d = halfw*offset``, ``lo + d`` and
   ``hi - d`` on a finite domain, ``lo + r`` on a semi-infinite one;
 * weighted contributions ``weight*f(x)``, level sums, and the level
@@ -35,7 +37,9 @@ evaluation.  With ``p = ctx.prec_work``:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
+from mpmath.ctx_mp import MPContext
 from mpmath.libmp import mpf_abs, mpf_add, mpf_lt, mpf_mul, mpf_sub
 
 from .mpcore import PrecisionCtx, round_out
@@ -78,101 +82,76 @@ class QuadratureError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Node caches.  Keyed by working precision in bits, so any two contexts at the
-# same precision share nodes; entries are written once and never mutated.
+# Nodes.  Cached by working precision in bits, so any two contexts at the same
+# precision share them; a cached level is a tuple and never mutated.
 # ---------------------------------------------------------------------------
 
-_TS_NODES: dict = {}
-_ES_NODES: dict = {}
-_NODE_CTX: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _node_ctx(prec: int):
-    ctx = _NODE_CTX.get(prec)
-    if ctx is None:
-        from mpmath.ctx_mp import MPContext
-
-        ctx = MPContext()
-        ctx.prec = prec
-        _NODE_CTX[prec] = ctx
+    ctx = MPContext()
+    ctx.prec = prec
     return ctx
 
 
-def _t_max(prec: int, mp):
+@lru_cache(maxsize=None)
+def _level(prec: int, level: int, node):
+    """``node(mp, t, half_pi)`` for each t of one level, on ``prec + 20`` bits.
+
+    Level 0 holds all integer t >= 0 (including the center t = 0); level
+    m > 0 holds odd multiples of 2^-m.
+    """
+    mp = _node_ctx(prec + 20)
     # Weight ~ 2*pi*cosh(t)*exp(-pi*sinh t); run nodes out until the bare
     # weight is far below the tightest admissible tolerance (squared margin
     # so that x^(-1/2)-type singular integrands stay covered).
     decades = 2 * (prec / 3.32 + 8)
-    return mp.asinh(decades * mp.log(10) / mp.pi)
+    tmax = mp.asinh(decades * mp.log(10) / mp.pi)
+    h = mp.mpf(2) ** (-level)
+    half_pi = mp.pi / 2
+    j, step = (0, 1) if level == 0 else (1, 2)
+    nodes = []
+    while j * h <= tmax:
+        nodes.append(node(mp, j * h, half_pi))
+        j += step
+    return tuple(nodes)
+
+
+def _ts_node(mp, t, half_pi):
+    g = half_pi * mp.sinh(t)
+    e2g = mp.exp(2 * g)
+    offset = 2 / (e2g + 1)           # 1 - tanh(g), no cancellation
+    weight = half_pi * mp.cosh(t) * (4 * e2g / (e2g + 1) ** 2)  # (pi/2)cosh(t)/cosh(g)^2
+    return offset._mpf_, weight._mpf_, not t
+
+
+def _es_node(mp, t, half_pi):
+    ch = mp.cosh(t)
+    g = half_pi * mp.sinh(t)
+    r_pos = mp.exp(g)
+    w_pos = half_pi * ch * r_pos
+    if not t:
+        return None, None, r_pos._mpf_, w_pos._mpf_
+    r_neg = 1 / r_pos
+    w_neg = half_pi * ch * r_neg
+    return r_neg._mpf_, w_neg._mpf_, r_pos._mpf_, w_pos._mpf_
 
 
 def _ts_level(prec: int, level: int):
-    """Tanh-sinh nodes for one level: list of raw (offset, weight, is_center).
+    """Tanh-sinh nodes for one level: raw (offset, weight, is_center).
 
     ``offset`` is ``1 - tanh(pi/2*sinh t)`` for t >= 0, the node's distance
-    to the transformed endpoint ``u = 1``.  Level 0 holds all integer t >= 0
-    (including the center t = 0); level m > 0 holds odd multiples of 2^-m.
+    to the transformed endpoint ``u = 1``.
     """
-    key = (prec, level)
-    nodes = _TS_NODES.get(key)
-    if nodes is not None:
-        return nodes
-    mp = _node_ctx(prec + 20)
-    tmax = _t_max(prec, mp)
-    h = mp.mpf(2) ** (-level)
-    nodes = []
-    j = 0 if level == 0 else 1
-    step = 1 if level == 0 else 2
-    half_pi = mp.pi / 2
-    while True:
-        t = j * h
-        if t > tmax:
-            break
-        g = half_pi * mp.sinh(t)
-        e2g = mp.exp(2 * g)
-        offset = 2 / (e2g + 1)           # 1 - tanh(g), no cancellation
-        weight = half_pi * mp.cosh(t) * (4 * e2g / (e2g + 1) ** 2)  # (pi/2)cosh(t)/cosh(g)^2
-        nodes.append((offset._mpf_, weight._mpf_, j == 0))
-        j += step
-    _TS_NODES[key] = nodes
-    return nodes
+    return _level(prec, level, _ts_node)
 
 
 def _es_level(prec: int, level: int):
-    """Exp-sinh nodes for one level: list of (t_sign_pairs) entries.
+    """Exp-sinh nodes for one level: raw ``(r_neg, w_neg, r_pos, w_pos)``.
 
-    Each entry is raw ``(r_neg, w_neg, r_pos, w_pos)`` where ``x = lo + r`` and the
-    weight already includes dx/dt; the t = 0 node appears only at level 0 as
-    an entry with its positive half only (r_neg is None).
+    ``x = lo + r`` and the weight already includes dx/dt; the t = 0 node
+    appears only at level 0, with its positive half only (r_neg is None).
     """
-    key = (prec, level)
-    nodes = _ES_NODES.get(key)
-    if nodes is not None:
-        return nodes
-    mp = _node_ctx(prec + 20)
-    tmax = _t_max(prec, mp)
-    h = mp.mpf(2) ** (-level)
-    nodes = []
-    j = 0 if level == 0 else 1
-    step = 1 if level == 0 else 2
-    half_pi = mp.pi / 2
-    while True:
-        t = j * h
-        if t > tmax:
-            break
-        ch = mp.cosh(t)
-        g = half_pi * mp.sinh(t)
-        r_pos = mp.exp(g)
-        w_pos = half_pi * ch * r_pos
-        if j == 0:
-            nodes.append((None, None, r_pos._mpf_, w_pos._mpf_))
-        else:
-            r_neg = 1 / r_pos
-            w_neg = half_pi * ch * r_neg
-            nodes.append((r_neg._mpf_, w_neg._mpf_, r_pos._mpf_, w_pos._mpf_))
-        j += step
-    _ES_NODES[key] = nodes
-    return nodes
+    return _level(prec, level, _es_node)
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +199,20 @@ def _sum_level_semiinf(f, lo, prec, level, tiny):
     nodes = _es_level(prec, level)
     wp = prec + 20
     total = None
-    run_pos = _TAIL_RUN  # separate tail detection per direction
-    run_neg = _TAIL_RUN
+    runs = [_TAIL_RUN, _TAIL_RUN]  # separate tail detection for t > 0 and t < 0
     for r_neg, w_neg, r_pos, w_pos in nodes:
         contrib = None
-        if run_pos > 0:
-            x = mpf_add(lo, r_pos, prec, "n")
+        for side, r, w in ((0, r_pos, w_pos), (1, r_neg, w_neg)):
+            if r is None or runs[side] <= 0:
+                continue
+            x = mpf_add(lo, r, prec, "n")
             if mpf_lt(lo, x):
-                c = [mpf_mul(w_pos, y, wp, "n") for y in f(x)]
-                contrib = c
-                run_pos = run_pos - 1 if _negligible(c, tiny) else _TAIL_RUN
-        if r_neg is not None and run_neg > 0:
-            x = mpf_add(lo, r_neg, prec, "n")
-            if mpf_lt(lo, x):
-                c = [mpf_mul(w_neg, y, wp, "n") for y in f(x)]
+                c = [mpf_mul(w, y, wp, "n") for y in f(x)]
                 contrib = _add(contrib, c, wp)
-                run_neg = run_neg - 1 if _negligible(c, tiny) else _TAIL_RUN
+                runs[side] = runs[side] - 1 if _negligible(c, tiny) else _TAIL_RUN
         if contrib is not None:
             total = _add(total, contrib, wp)
-        if run_pos <= 0 and run_neg <= 0:
+        if max(runs) <= 0:
             break
     return total
 

@@ -191,6 +191,33 @@ class TestLi2:
             assert abs(abel) < tol
 
 
+@pytest.mark.parametrize("digits", [20, 60, 250])
+def test_li2_relative_accuracy_against_polylog(digits):
+    # Relative accuracy where the choice of series matters: tiny |z|, real and
+    # complex (Li2(z) ~ z, so only a relative bound sees lost digits), z just
+    # below 1 (the reflection), and the unit circle (|1 - z| <= 2).
+    ctx = PrecisionCtx(digits)
+    rng = random.Random(2000 + digits)
+    mp = ctx._mp
+    points = [ctx.mpc(ctx.cos(th), ctx.sin(th))
+              for th in [ctx.mpf(rng.uniform(-3.1, 3.1)) for _ in range(6)] + [ctx.pi]]
+    for k in range(3, 41):
+        r = ctx.pow10(-k) * ctx.mpf(rng.uniform(1, 10))
+        th = ctx.mpf(rng.uniform(-3.1, 3.1))
+        points += [rng.choice((1, -1)) * r, r * ctx.mpc(ctx.cos(th), ctx.sin(th)),
+                   1 - ctx.pow10(-k)]
+    ref_mp = MPContext()
+    ref_mp.dps = 2 * digits + 20
+    bound = ctx.pow10(-digits)
+    for z in points:
+        if isinstance(z, mp.mpc):
+            ref_z = ref_mp.make_mpc(z._mpc_)
+        else:
+            ref_z = ref_mp.make_mpf(z._mpf_)
+        ref = ref_mp.polylog(2, ref_z)
+        assert abs(li2(z, ctx) - ref) <= bound * abs(ref), mp.nstr(z, 8)
+
+
 _ctx = PrecisionCtx(30)
 
 
