@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import libmp
@@ -61,6 +62,7 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def bernoulli_over_factorial(m: int) -> Fraction:
     """Exact B_m / m! (with B_1 = -1/2)."""
     return Fraction(*mpmath.bernfrac(m)) / math.factorial(m)

@@ -2,8 +2,12 @@
 
 The classic PSLQ iteration (Ferguson, Bailey & Arno, Math. Comp. 68
 (1999) 351-369: Hermite reduction of the lower-trapezoidal H matrix with
-gamma = sqrt(4/3) row selection) is run in full working precision, with the
-integer change-of-basis matrix kept exact.  A run terminates in one of
+gamma = sqrt(4/3) row selection) keeps the integer change-of-basis matrix
+exact.  The partial sums, the normalized y and the initial H are formed on
+mpf; the iteration then runs on Python ints scaled by 2^P, where P =
+prec_work + 30 guard bits + max(mag x) - min(mag x), so the smallest
+normalized entry keeps prec_work + 30 bits.  Confirmation, canonical form,
+norm test and exclusion bound stay on mpf.  A run terminates in one of
 three ways:
 
 * ``found``      -- some normalized residual dropped below the detection
@@ -27,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from mpmath import libmp
+
 from .mpcore import PrecisionCtx, get_ctx, round_out
 
 __all__ = [
@@ -41,6 +47,9 @@ __all__ = [
 # Threshold exponent: a relation is detected at 10^(-0.7*digits).
 DETECTION_EXPONENT = 0.7
 
+# Bits beyond working precision (and the input spread) of the fixed-point scale.
+_GUARD_BITS = 30
+
 
 class InsufficientPrecision(ArithmeticError):
     """Iteration exhausted the working precision without reaching a verdict."""
@@ -53,13 +62,15 @@ class RelationResult:
     ``found`` results carry canonical coefficients (content 1, first nonzero
     coefficient positive) and the residual |sum coeffs*x|.  ``none_found``
     results carry an exclusion bound: no integer relation with Euclidean norm
-    below it exists for the given vector.
+    below it exists for the given vector.  ``iterations`` counts main-loop
+    iterations (0 when the initial reduction already decides).
     """
 
     status: str                      # "found" | "none_found"
     coeffs: tuple | None
     residual: object | None
     exclusion_bound: object | None
+    iterations: int = 0
 
     @property
     def found(self) -> bool:
@@ -106,9 +117,7 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
         raise ValueError("all values must be nonzero at working precision")
     max_norm = ctx.mpf(max_norm)
 
-    gamma = ctx.sqrt(mp.mpf(4) / 3)
     tol = ctx.pow10(-int(DETECTION_EXPONENT * ctx.digits))
-    noise_floor = ctx.pow10(-(ctx.work_dps - 3))
     if max_iterations is None:
         max_iterations = 2000 + 120 * n * n + 20 * n * ctx.digits
 
@@ -130,6 +139,16 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
         for j in range(1, i):
             H[i][j] = -y[i] * y[j] / (s[j] * s[j + 1])
 
+    # From here on y, H and the thresholds are integers scaled by 2^P.
+    mags = [mp.mag(v) for v in x]
+    P = ctx.prec_work + _GUARD_BITS + max(mags) - min(mags)
+    y = [libmp.to_fixed(v._mpf_, P) for v in y]
+    H = [[libmp.to_fixed(v._mpf_, P) for v in row] for row in H]
+    tol_fixed = libmp.to_fixed(tol._mpf_, P)
+    noise_floor = libmp.to_fixed(ctx.pow10(-(ctx.work_dps - 3))._mpf_, P)
+    gamma = libmp.sqrt_fixed((4 << P) // 3, P)
+    g_pows = [None] + [gamma ** i >> P * (i - 1) for i in range(1, n)]
+
     # Exact integer relations: rel[i] is the integer combination of x whose
     # residual is y[i]*t (rel[0] is unused, like y[0] and H[0]).
     rel = [[int(k == i) for k in range(1, n + 1)] for i in range(n + 1)]
@@ -139,24 +158,26 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
     def hermite_reduce(first_row, last_col):
         for i in range(first_row, n + 1):
             for j in range(min(i - 1, last_col), 0, -1):
-                if H[j][j] == 0:
+                a, b = H[i][j], H[j][j]
+                if b == 0:
                     raise InsufficientPrecision("H developed a zero diagonal")
-                q = ctx.nint(H[i][j] / H[j][j])
+                q = (2 * a + b) // (2 * b)      # floor(a/b + 1/2) for either sign of b
                 if q:
                     y[j] += q * y[i]
+                    row_i, row_j = H[i], H[j]
                     for k in range(1, j + 1):
-                        H[i][k] -= q * H[j][k]
+                        row_i[k] -= q * row_j[k]
                     rel[j] = [u + q * v for u, v in zip(rel[j], rel[i])]
 
-    def detect():
+    def detect(it):
         """The first relation rel[i] with |y_i| < tol that has norm at
         most max_norm and re-checks at 20 extra digits."""
         y_min = min(abs(y[i]) for i in range(1, n + 1))
-        if y_min >= tol:
+        if y_min >= tol_fixed:
             return None
         rejected = []   # norms of candidates above max_norm
         for i in range(1, n + 1):
-            if abs(y[i]) >= tol:
+            if abs(y[i]) >= tol_fixed:
                 continue
             vec = _canonical(rel[i])
             if not any(vec):
@@ -167,7 +188,7 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
                 continue
             resid = check_relation(vec, x, get_ctx(ctx.digits + 20, ctx.guard_digits))
             if resid < tol * t:
-                return RelationResult("found", vec, round_out(ctx.mpf(resid), ctx), None)
+                return RelationResult("found", vec, round_out(ctx.mpf(resid), ctx), None, it)
         if y_min < noise_floor:
             raise InsufficientPrecision(
                 "residual at the noise floor; rejected a relation of norm %s above"
@@ -177,18 +198,16 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
 
     # The full initial reduction may already expose a relation.
     hermite_reduce(2, n)
-    res = detect()
+    res = detect(0)
     if res is not None:
         return res
 
-    for _ in range(max_iterations):
+    for it in range(1, max_iterations + 1):
         # Row selection: maximize gamma^i |H_ii|.
         m_row = 1
-        best = mp.mpf(0)
-        g_pow = mp.mpf(1)
+        best = 0
         for i in range(1, n):
-            g_pow *= gamma
-            size = g_pow * abs(H[i][i])
+            size = g_pows[i] * abs(H[i][i])
             if size > best:
                 best = size
                 m_row = i
@@ -198,25 +217,24 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
         # Corner transformation.
         if m_row <= n - 2:
             h_mm, h_mm1 = H[m_row][m_row], H[m_row][m_row + 1]
-            t0 = ctx.sqrt(h_mm * h_mm + h_mm1 * h_mm1)
+            t0 = math.isqrt(h_mm * h_mm + h_mm1 * h_mm1)
             if t0 == 0:
                 raise InsufficientPrecision("H developed a zero corner")
-            c0, s0 = h_mm / t0, h_mm1 / t0
-            for i in range(m_row, n + 1):
-                a_, b_ = H[i][m_row], H[i][m_row + 1]
-                H[i][m_row] = c0 * a_ + s0 * b_
-                H[i][m_row + 1] = -s0 * a_ + c0 * b_
+            c0, s0 = (h_mm << P) // t0, (h_mm1 << P) // t0
+            for row in H[m_row:]:
+                a_, b_ = row[m_row], row[m_row + 1]
+                row[m_row], row[m_row + 1] = (c0 * a_ + s0 * b_) >> P, (c0 * b_ - s0 * a_) >> P
         hermite_reduce(m_row + 1, m_row + 1)
-        res = detect()
+        res = detect(it)
         if res is not None:
             return res
         # Exclusion bound: every relation has norm >= 1/max|H_jj|.
         h_max = max(abs(H[j][j]) for j in range(1, n))
         if h_max == 0:
             raise InsufficientPrecision("H diagonal vanished")
-        bound = 1 / h_max
+        bound = mp.mpf(1 << P) / h_max
         if bound > max_norm:
-            return RelationResult("none_found", None, None, round_out(bound, ctx))
+            return RelationResult("none_found", None, None, round_out(bound, ctx), it)
 
     raise InsufficientPrecision(
         "no verdict after %d iterations at %d digits" % (max_iterations, ctx.digits))

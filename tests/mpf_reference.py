@@ -1,4 +1,4 @@
-"""Reference copies of the quadrature node loops and integrands on mpf objects.
+"""Reference copies of the quadrature node loops, integrands and PSLQ on mpf objects.
 
 ``tetraclausen.quad``, the feynman panel integrands and the tail integrand
 of ``polylog.cl2_series_reference`` compute on raw ``_mpf_`` tuples through
@@ -7,9 +7,15 @@ mpf operators, whose precision comes from the left operand's context: node
 weights carry ``prec_work + 20`` bits, so weighted contributions and level
 sums are rounded there, and abscissas, whose left operand is ``lo`` or
 ``hi``, at ``prec_work``.  The tuple versions must return identical bits.
+
+``pslq.find_relation`` runs its iteration on integers scaled by 2^P;
+``find_relation_mpf`` runs it on mpf objects at working precision and must
+reach the same verdicts, relations, iteration counts and errors.
 """
 
-from tetraclausen.mpcore import round_out
+from tetraclausen.mpcore import PrecisionCtx, get_ctx, round_out
+from tetraclausen.pslq import (DETECTION_EXPONENT, InsufficientPrecision, RelationResult,
+                               _canonical, check_relation)
 from tetraclausen.quad import (MAX_LEVELS, QuadratureError, QuadratureResult,
                                QuadratureResults, _TAIL_RUN, _es_level, _node_ctx,
                                _ts_level)
@@ -183,3 +189,135 @@ def cl2_tail_integrand(t, cos_t, sin_t, M, hi):
         return u * mp.exp(-u) * num / (den * mp1 * mp1)
 
     return tail_integrand
+
+
+# ---------------------------------------------------------------------------
+# PSLQ.
+# ---------------------------------------------------------------------------
+
+def find_relation_mpf(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = None) -> RelationResult:
+    """``pslq.find_relation`` with the iteration on mpf objects."""
+    mp = ctx._mp
+    n = len(xs)
+    if n < 2:
+        raise ValueError("need at least 2 values")
+    x = [ctx.mpf(v) for v in xs]
+    if any(v == 0 for v in x):
+        raise ValueError("all values must be nonzero at working precision")
+    max_norm = ctx.mpf(max_norm)
+
+    gamma = ctx.sqrt(mp.mpf(4) / 3)
+    tol = ctx.pow10(-int(DETECTION_EXPONENT * ctx.digits))
+    noise_floor = ctx.pow10(-(ctx.work_dps - 3))
+    if max_iterations is None:
+        max_iterations = 2000 + 120 * n * n + 20 * n * ctx.digits
+
+    # Initialization (partial sums of squares, normalized y, H matrix).
+    s = [mp.mpf(0)] * (n + 1)
+    acc = mp.mpf(0)
+    for k in range(n, 0, -1):
+        acc += x[k - 1] * x[k - 1]
+        s[k] = acc
+    s = [mp.mpf(0)] + [ctx.sqrt(v) for v in s[1:]]
+    t = s[1]
+    y = [mp.mpf(0)] + [v / t for v in x]
+    s = [mp.mpf(0)] + [v / t for v in s[1:]]
+
+    H = [[mp.mpf(0)] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        if i <= n - 1:
+            H[i][i] = s[i + 1] / s[i]
+        for j in range(1, i):
+            H[i][j] = -y[i] * y[j] / (s[j] * s[j + 1])
+
+    # Exact integer relations: rel[i] is the integer combination of x whose
+    # residual is y[i]*t (rel[0] is unused, like y[0] and H[0]).
+    rel = [[int(k == i) for k in range(1, n + 1)] for i in range(n + 1)]
+
+    # Hermite reduction of rows first_row..n over columns <= min(i-1, last_col).
+    # H_jj starts positive (s_{j+1}/s_j): a zero means precision ran out.
+    def hermite_reduce(first_row, last_col):
+        for i in range(first_row, n + 1):
+            for j in range(min(i - 1, last_col), 0, -1):
+                if H[j][j] == 0:
+                    raise InsufficientPrecision("H developed a zero diagonal")
+                q = ctx.nint(H[i][j] / H[j][j])
+                if q:
+                    y[j] += q * y[i]
+                    for k in range(1, j + 1):
+                        H[i][k] -= q * H[j][k]
+                    rel[j] = [u + q * v for u, v in zip(rel[j], rel[i])]
+
+    def detect(iterations):
+        """The first relation rel[i] with |y_i| < tol that has norm at
+        most max_norm and re-checks at 20 extra digits."""
+        y_min = min(abs(y[i]) for i in range(1, n + 1))
+        if y_min >= tol:
+            return None
+        rejected = []   # norms of candidates above max_norm
+        for i in range(1, n + 1):
+            if abs(y[i]) >= tol:
+                continue
+            vec = _canonical(rel[i])
+            if not any(vec):
+                continue
+            norm = ctx.sqrt(ctx.mpf(sum(c * c for c in vec)))
+            if norm > max_norm:
+                rejected.append(norm)
+                continue
+            resid = check_relation(vec, x, get_ctx(ctx.digits + 20, ctx.guard_digits))
+            if resid < tol * t:
+                return RelationResult("found", vec, round_out(ctx.mpf(resid), ctx), None,
+                                      iterations)
+        if y_min < noise_floor:
+            raise InsufficientPrecision(
+                "residual at the noise floor; rejected a relation of norm %s above"
+                " max_norm" % mp.nstr(min(rejected), 6) if rejected else
+                "residual at the noise floor but candidate failed confirmation")
+        return None
+
+    # The full initial reduction may already expose a relation.
+    hermite_reduce(2, n)
+    res = detect(0)
+    if res is not None:
+        return res
+
+    for iterations in range(1, max_iterations + 1):
+        # Row selection: maximize gamma^i |H_ii|.
+        m_row = 1
+        best = mp.mpf(0)
+        g_pow = mp.mpf(1)
+        for i in range(1, n):
+            g_pow *= gamma
+            size = g_pow * abs(H[i][i])
+            if size > best:
+                best = size
+                m_row = i
+        # Swap entries m, m+1.
+        for v in (y, H, rel):
+            v[m_row], v[m_row + 1] = v[m_row + 1], v[m_row]
+        # Corner transformation.
+        if m_row <= n - 2:
+            h_mm, h_mm1 = H[m_row][m_row], H[m_row][m_row + 1]
+            t0 = ctx.sqrt(h_mm * h_mm + h_mm1 * h_mm1)
+            if t0 == 0:
+                raise InsufficientPrecision("H developed a zero corner")
+            c0, s0 = h_mm / t0, h_mm1 / t0
+            for i in range(m_row, n + 1):
+                a_, b_ = H[i][m_row], H[i][m_row + 1]
+                H[i][m_row] = c0 * a_ + s0 * b_
+                H[i][m_row + 1] = -s0 * a_ + c0 * b_
+        hermite_reduce(m_row + 1, m_row + 1)
+        res = detect(iterations)
+        if res is not None:
+            return res
+        # Exclusion bound: every relation has norm >= 1/max|H_jj|.
+        h_max = max(abs(H[j][j]) for j in range(1, n))
+        if h_max == 0:
+            raise InsufficientPrecision("H diagonal vanished")
+        bound = 1 / h_max
+        if bound > max_norm:
+            return RelationResult("none_found", None, None, round_out(bound, ctx), iterations)
+
+    raise InsufficientPrecision(
+        "no verdict after %d iterations at %d digits" % (max_iterations, ctx.digits))

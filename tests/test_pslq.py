@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpf_reference as ref
 from tetraclausen.mpcore import PrecisionCtx
 from tetraclausen.feynman import MassPair, derive, r_vector
 from tetraclausen.polylog import cl2
@@ -145,6 +146,63 @@ def test_planted_relation_recovery(data):
         expected = [-c for c in expected]
     assert found.found
     assert found.coeffs == tuple(expected)
+
+
+def _outcome(search, xs, max_norm, ctx):
+    try:
+        return search(xs, max_norm, ctx)
+    except (InsufficientPrecision, ValueError) as exc:
+        return exc
+
+
+def _differential_cases(digits, count):
+    """Seeded vectors at ``digits``, n = 2..12, entries spread by up to
+    10^+-30: independent, planted with coefficients up to 9, and planted
+    with coefficients up to 3000 under a random max_norm or under 1000."""
+    ctx = PrecisionCtx(digits, 5 if digits < 30 else 10)
+    rng = random.Random(digits)
+    for case in range(count):
+        n = rng.randint(2, 12)
+        spread = rng.choice((0, 0, 5, 30))
+        xs = [random_real(rng, ctx) * ctx.pow10(rng.randint(-spread, spread)) for _ in range(n)]
+        max_norm = 10 ** rng.randint(3, 9)
+        if case % 4:
+            big = 9 if case % 4 == 1 else 3000
+            coeffs = [rng.randint(-big, big) for _ in range(n)]
+            coeffs[0] = rng.choice((-3, -1, 1, 2))
+            xs[0] = -sum(c * x for c, x in zip(coeffs[1:], xs[1:])) / coeffs[0]
+            if case % 4 == 3:
+                max_norm = 1000
+        yield ctx, xs, max_norm
+
+
+@pytest.mark.parametrize("digits,count", [(16, 16), (25, 16), (60, 12), (100, 8), (200, 6)])
+def test_fixed_point_matches_mpf_iteration(digits, count):
+    # Same verdict, relation, iteration count and error as the iteration on
+    # mpf objects, and exclusion bounds that agree to a third of the digits
+    # (past that, both sides carry noise).
+    for case, (ctx, xs, max_norm) in enumerate(_differential_cases(digits, count)):
+        got = _outcome(find_relation, xs, max_norm, ctx)
+        want = _outcome(ref.find_relation_mpf, xs, max_norm, ctx)
+        label = (digits, case, len(xs), max_norm)
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want)), label
+            continue
+        assert (got.status, got.coeffs, got.residual, got.iterations) == \
+            (want.status, want.coeffs, want.residual, want.iterations), label
+        if not got.found:
+            rel_diff = abs(got.exclusion_bound / want.exclusion_bound - 1)
+            assert rel_diff < ctx.pow10(-digits // 3), label
+
+
+def test_fixed_point_scale_covers_magnitude_spread():
+    # Entries 10^60 apart: a fixed-point scale of prec_work + guard bits
+    # alone leaves the small normalized entry no bits, and H a zero diagonal.
+    ctx = PrecisionCtx(25, 5)
+    small = [1, ctx.sqrt(2), ctx.exp(1), ctx.pi * ctx.pow10(-60)]
+    large = [ctx.pi * ctx.pow10(60), 1, ctx.sqrt(2), ctx.exp(1)]
+    assert find_relation(small, 1000, ctx).coeffs == (0, 0, 0, 1)
+    assert find_relation(large, 1000, ctx).coeffs == (0, 1, 0, 0)
 
 
 class TestCheckRelation:
