@@ -18,7 +18,7 @@ ever fewer significant bits, while the powers of t grow up to (2pi/3)^2k.
 Scaled, every d_k lies in (0, pi^2/18] and every X^k is at most 9^-k.  The
 coefficients are built from mpmath's Bernoulli numbers (``bernfrac``, which
 reconstructs each B_2k from a numerical value by the von Staudt-Clausen
-theorem) and rounded once per fixed-point precision into cached tables; the
+theorem) and rounded once per fixed-point precision into a cached table; the
 log term and the final product are single mpf operations.
 
 A second, independent evaluation route, :func:`cl2_series_reference`, sums
@@ -30,12 +30,19 @@ exact Laplace-transform tail
 evaluated by quadrature.  It shares nothing with the primary route past
 elementary functions and serves as its cross-check oracle.
 
-The dilogarithm has one series, in w = -log(1-z) ('t Hooft & Veltman,
-Nucl. Phys. B153 (1979) 365; see ``_li2_log_series``).  w comes from
-``log1p``, so a tiny |z| keeps its relative precision.  Arguments with
-|z| > 1 are inverted and those with |1-z| <= 1/2 reflected to 1-z; the series
-then sees |w| < 1.49 (at most log 2 after the reflection), so each term is
-below (|w|/2pi)^2 < 0.057 of the one before.
+The dilogarithm sums one series on the same table, in w = -log(1-z)
+('t Hooft & Veltman, Nucl. Phys. B153 (1979) 365): B_2k w^2k/((2k)! (2k+1))
+is -2k d_k Y^k, so
+
+    Li2(z) = w (1 - w/4 - sum_{k>=1} 2k d_k Y^k),   Y = -(w/2pi)^2,
+
+in fixed point at the same P, on two integers for complex w.  w comes from
+``log1p``, so a tiny |z| keeps its relative precision.  Arguments with |z| > 1
+are inverted and those with |1-z| <= 1/2 reflected to 1-z, whose w is -log z;
+then |w| < 1.49 (log 2 after the reflection) and |Y| < 0.057, while
+2k d_k = 2 zeta(2k)/(2k+1) falls from 2 zeta(2)/3 < 1.1, so fixed point is as
+safe as for Cl2.  Each term is below 0.057 of the one before, so stopping at
+the first below 2^-(prec+4) in both parts leaves a tail under 1/16 of it.
 """
 
 from __future__ import annotations
@@ -68,43 +75,28 @@ def bernoulli_over_factorial(m: int) -> Fraction:
     return Fraction(*mpmath.bernfrac(m)) / math.factorial(m)
 
 
-# Per-precision series coefficients, keyed by precision in bits.  Tables are
-# tuples, grown by building a longer one and publishing it in one dict
+# Clausen coefficients d_k * 2^fixed per fixed-point precision, summed by cl2
+# and li2.  A table is a tuple, grown by publishing a longer one in one dict
 # assignment: a concurrent reader sees the old table or the new, and two
 # threads growing one at once only repeat work that gives identical entries.
 _CL2_TABLE: dict = {}
-_LI2_W_COEFFS: dict = {}
-
-
-def _grow_coeffs(cache: dict, prec: int, n: int, make):
-    coeffs = cache.get(prec, ())
-    if len(coeffs) < n:
-        coeffs += tuple(make(k) for k in range(len(coeffs) + 1, n + 1))
-        cache[prec] = coeffs
-    return coeffs
 
 
 def _cl2_table(fixed: int, n: int):
     """Integers d[k] * 2^fixed, rounded, for k = 1..n (d_k in the module doc)."""
-    wp = fixed + 20
-    two_pi_sq = libmp.mpf_shift(libmp.mpf_mul(libmp.mpf_pi(wp), libmp.mpf_pi(wp), wp), 2)
-
-    def make(k):
-        c = abs(bernoulli_over_factorial(2 * k)) / (2 * k * (2 * k + 1))
-        num = libmp.mpf_mul(libmp.mpf_pow_int(two_pi_sq, k, wp, "n"),
-                            libmp.from_int(c.numerator, wp, "n"), wp, "n")
-        d = libmp.mpf_div(num, libmp.from_int(c.denominator, wp, "n"), wp, "n")
-        return libmp.to_int(libmp.mpf_shift(d, fixed), "n")
-
-    return _grow_coeffs(_CL2_TABLE, fixed, n, make)
-
-
-def _li2_w_coeffs(ctx: PrecisionCtx, n: int):
-    """mpf coefficients e[k] = B_2k/((2k)! (2k+1)) for k = 1..n."""
-    def make(k):
-        return ctx.mpf(bernoulli_over_factorial(2 * k) / (2 * k + 1))
-
-    return _grow_coeffs(_LI2_W_COEFFS, ctx.prec_work, n, make)
+    table = _CL2_TABLE.get(fixed, ())
+    if len(table) < n:
+        wp = fixed + 20
+        two_pi_sq = libmp.mpf_shift(libmp.mpf_mul(libmp.mpf_pi(wp), libmp.mpf_pi(wp), wp), 2)
+        more = []
+        for k in range(len(table) + 1, n + 1):
+            c = abs(bernoulli_over_factorial(2 * k)) / (2 * k * (2 * k + 1))
+            num = libmp.mpf_mul(libmp.mpf_pow_int(two_pi_sq, k, wp, "n"),
+                                libmp.from_int(c.numerator, wp, "n"), wp, "n")
+            d = libmp.mpf_div(num, libmp.from_int(c.denominator, wp, "n"), wp, "n")
+            more.append(libmp.to_int(libmp.mpf_shift(d, fixed), "n"))
+        table = _CL2_TABLE[fixed] = table + tuple(more)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -268,28 +260,35 @@ def _cl2_tail_integrand(t, cos_t, sin_t, M, hi: PrecisionCtx):
 # Dilogarithm.
 # ---------------------------------------------------------------------------
 
-def _li2_log_series(z, ctx: PrecisionCtx):
-    """Li2 via the expansion in w = -log(1-z), valid for |w| < 2pi (module doc).
-
-    Li2(z) = sum_{n>=0} B_n/(n! (n+1)) w^(n+1)
-           = w - w^2/4 + sum_{k>=1} B_2k/((2k)! (2k+1)) w^(2k+1).
-    """
+def _li2_log_series(w, ctx: PrecisionCtx):
+    """Li2(z) from w = -log(1-z), |w| < 1.49, summed on the Clausen table (module doc)."""
     mp = ctx._mp
-    w = -mp.log1p(-z)
-    eps = mp.mpf(2) ** (-ctx.prec_work - 4)
-    total = 1 - w / 4
-    w2 = w * w
-    power = w2
-    k = 1
+    prec = ctx.prec_work
+    fixed = prec + 20
+    real = isinstance(w, mp.mpf)
+    a, b = (libmp.to_fixed(p, fixed) for p in ((w._mpf_, libmp.fzero) if real else w._mpc_))
+    four_pi_sq = 4 * libmp.pi_fixed(fixed) ** 2
+    yr, yi = ((b * b - a * a) << fixed) // four_pi_sq, (-2 * a * b << fixed) // four_pi_sq
+    stop = 1 << (fixed - prec - 4)
+    table = _CL2_TABLE.get(fixed, ())
+    pr, pim, sr, si = yr, yi, 0, 0          # Y^(k+1) and the sum so far, two ints each
+    k = 0
     while True:
-        coeffs = _li2_w_coeffs(ctx, k + 16)
-        while k <= len(coeffs):
-            term = coeffs[k - 1] * power
-            total += term
-            if abs(term) < eps * abs(total):
-                return w * total
-            power *= w2
-            k += 1
+        if k == len(table):
+            table = _cl2_table(fixed, k + 16)
+        c = 2 * (k + 1) * table[k]
+        tr, ti = c * pr >> fixed, c * pim >> fixed
+        sr, si = sr + tr, si + ti
+        if abs(tr) < stop and abs(ti) < stop:
+            break
+        pr, pim = (pr * yr - pim * yi) >> fixed, (pr * yi + pim * yr) >> fixed
+        k += 1
+    # w (1 - w/4 - sum); the factor in parentheses has modulus above 1/2.
+    re, im = (libmp.from_man_exp(v, -fixed)
+              for v in ((1 << fixed) - (a >> 2) - sr, -(b >> 2) - si))
+    if real:
+        return mp.make_mpf(libmp.mpf_mul(w._mpf_, re, prec, "n"))
+    return mp.make_mpc(libmp.mpc_mul(w._mpc_, (re, im), prec, "n"))
 
 
 def _li2_main(z, ctx: PrecisionCtx):
@@ -305,9 +304,11 @@ def _li2_main(z, ctx: PrecisionCtx):
         logterm = ctx.log(-z)
         return -_li2_main(1 / z, ctx) - ctx.pi ** 2 / 6 - logterm ** 2 / 2
     if abs(1 - z) <= mp.mpf(1) / 2:
-        # Reflection: Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z).
-        return ctx.pi ** 2 / 6 - ctx.log(z) * ctx.log(1 - z) - _li2_log_series(1 - z, ctx)
-    return _li2_log_series(z, ctx)
+        # Reflection: Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z), where
+        # log z = -w, w = -log1p(z-1) being the series variable of 1-z.
+        w = -mp.log1p(z - 1)
+        return ctx.pi ** 2 / 6 + w * ctx.log(1 - z) - _li2_log_series(w, ctx)
+    return _li2_log_series(-mp.log1p(-z), ctx)
 
 
 def li2(z, ctx: PrecisionCtx):
@@ -358,12 +359,8 @@ def _lemma1_deltas(a, b, c, ctx: PrecisionCtx):
     r2 = a * a + b * b
     if r2 == 0:
         raise DomainError("a and b may not both vanish")
-    root2 = r2 - c * c
-    if root2 < 0:
-        if root2 > -ctx.pow10(-ctx.digits) * r2:
-            root2 = mp.mpf(0)
-        else:
-            raise DomainError("hypothesis a^2 + b^2 >= c^2 violated")
+    if r2 - c * c <= -ctx.pow10(-ctx.digits) * r2:
+        raise DomainError("hypothesis a^2 + b^2 >= c^2 violated")
     big_r = ctx.sqrt(r2)
     arg = -c / big_r
     if arg > 1:

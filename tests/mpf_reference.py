@@ -11,9 +11,16 @@ sums are rounded there, and abscissas, whose left operand is ``lo`` or
 ``pslq.find_relation`` runs its iteration on integers scaled by 2^P;
 ``find_relation_mpf`` runs it on mpf objects at working precision and must
 reach the same verdicts, relations, iteration counts and errors.
+
+``polylog.li2`` sums its Bernoulli series in w on integers scaled by 2^P,
+with the Clausen coefficients; ``li2_mpf`` sums it on mpf objects from its
+own mpf table, and the two must round to the same bits.
 """
 
-from tetraclausen.mpcore import PrecisionCtx, get_ctx, round_out
+from fractions import Fraction
+
+from tetraclausen.mpcore import DomainError, PrecisionCtx, get_ctx, round_out
+from tetraclausen.polylog import bernoulli_over_factorial
 from tetraclausen.pslq import (DETECTION_EXPONENT, InsufficientPrecision, RelationResult,
                                _canonical, check_relation)
 from tetraclausen.quad import (MAX_LEVELS, QuadratureError, QuadratureResult,
@@ -321,3 +328,84 @@ def find_relation_mpf(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | Non
 
     raise InsufficientPrecision(
         "no verdict after %d iterations at %d digits" % (max_iterations, ctx.digits))
+
+
+# ---------------------------------------------------------------------------
+# Dilogarithm.
+# ---------------------------------------------------------------------------
+
+_LI2_W_COEFFS: dict = {}
+
+
+def _grow_coeffs(cache: dict, prec: int, n: int, make):
+    coeffs = cache.get(prec, ())
+    if len(coeffs) < n:
+        coeffs += tuple(make(k) for k in range(len(coeffs) + 1, n + 1))
+        cache[prec] = coeffs
+    return coeffs
+
+
+def _li2_w_coeffs(ctx: PrecisionCtx, n: int):
+    """mpf coefficients e[k] = B_2k/((2k)! (2k+1)) for k = 1..n."""
+    def make(k):
+        return ctx.mpf(bernoulli_over_factorial(2 * k) / (2 * k + 1))
+
+    return _grow_coeffs(_LI2_W_COEFFS, ctx.prec_work, n, make)
+
+
+def _li2_log_series(z, ctx: PrecisionCtx):
+    """Li2 via the expansion in w = -log(1-z), valid for |w| < 2pi.
+
+    Li2(z) = sum_{n>=0} B_n/(n! (n+1)) w^(n+1)
+           = w - w^2/4 + sum_{k>=1} B_2k/((2k)! (2k+1)) w^(2k+1).
+    """
+    mp = ctx._mp
+    w = -mp.log1p(-z)
+    eps = mp.mpf(2) ** (-ctx.prec_work - 4)
+    total = 1 - w / 4
+    w2 = w * w
+    power = w2
+    k = 1
+    while True:
+        coeffs = _li2_w_coeffs(ctx, k + 16)
+        while k <= len(coeffs):
+            term = coeffs[k - 1] * power
+            total += term
+            if abs(term) < eps * abs(total):
+                return w * total
+            power *= w2
+            k += 1
+
+
+def _li2_main(z, ctx: PrecisionCtx):
+    mp = ctx._mp
+    if z == 0:
+        return mp.mpf(0)
+    if z == 1:
+        return ctx.pi ** 2 / 6
+    if abs(z) > 1:
+        # Inversion: Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2/2 (principal
+        # branch; real z > 1 arrives as mpc and lands on the standard cut
+        # values with Im Li2 = -pi*log z).
+        logterm = ctx.log(-z)
+        return -_li2_main(1 / z, ctx) - ctx.pi ** 2 / 6 - logterm ** 2 / 2
+    if abs(1 - z) <= mp.mpf(1) / 2:
+        # Reflection: Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z).
+        return ctx.pi ** 2 / 6 - ctx.log(z) * ctx.log(1 - z) - _li2_log_series(1 - z, ctx)
+    return _li2_log_series(z, ctx)
+
+
+def li2_mpf(z, ctx: PrecisionCtx):
+    """``polylog.li2`` with the series summed on mpf objects."""
+    mp = ctx._mp
+    if isinstance(z, (int, float, Fraction)):
+        z = ctx.mpf(z)
+    if isinstance(z, complex):
+        z = ctx.mpc(z.real, z.imag)
+    if isinstance(z, mp.mpf) and z > 1:
+        z = mp.mpc(z)
+    elif isinstance(z, mp.mpc) and z.imag == 0 and z.real <= 1:
+        z = z.real
+    if not ctx.isfinite(z):
+        raise DomainError("li2 requires a finite argument")
+    return round_out(_li2_main(z, ctx), ctx)

@@ -71,3 +71,34 @@ def test_cl2_oracle_tail_matches_reference(digits):
             assert fast(hi.mpf(u))._mpf_ == slow(hi.mpf(u))._mpf_
         got = integrate(fast, (0, hi.inf), tol, hi)
         assert raw(got) == raw(ref.integrate(slow, (0, hi.inf), tol, hi))
+
+
+def li2_arguments(ctx, rng, count):
+    """Seeded arguments on every li2 branch: real z in (-4, 1) and on the cut
+    (1, 5), complex z with |z| < 5, complex z with |1 - z| <= 1/2, |z| = 10^-k
+    up to k = digits + 20, 1 +- 10^-k and complex z with |z| > 1."""
+    def unit():
+        th = ctx.mpf(rng.uniform(-3.2, 3.2))
+        return ctx.mpc(ctx.cos(th), ctx.sin(th))
+
+    families = (
+        lambda: ctx.mpf(rng.uniform(-4, 1)),
+        lambda: ctx.mpf(rng.uniform(1, 5)),
+        lambda: ctx.mpf(rng.uniform(0, 5)) * unit(),
+        lambda: 1 + ctx.mpf(rng.uniform(0, 0.5)) * unit(),
+        lambda: ctx.pow10(-rng.randint(1, ctx.digits + 20)) * rng.choice((1, -1, unit())),
+        lambda: 1 + rng.choice((1, -1)) * ctx.pow10(-rng.randint(1, ctx.digits)),
+        lambda: ctx.mpf(rng.uniform(1, 50)) * unit(),
+    )
+    return [families[i % len(families)]() for i in range(count)]
+
+
+@pytest.mark.parametrize("digits,count", [(15, 700), (20, 600), (60, 500), (100, 200),
+                                          (250, 80), (1000, 14)])
+def test_li2_matches_reference(digits, count):
+    ctx = get_ctx(digits, 10)
+    for z in li2_arguments(ctx, random.Random(digits), count):
+        got, want = polylog.li2(z, ctx), ref.li2_mpf(z, ctx)
+        assert type(got) is type(want), z
+        assert getattr(got, "_mpc_", None) == getattr(want, "_mpc_", None), z
+        assert getattr(got, "_mpf_", None) == getattr(want, "_mpf_", None), z

@@ -195,7 +195,9 @@ class TestLi2:
 def test_li2_relative_accuracy_against_polylog(digits):
     # Relative accuracy where the choice of series matters: tiny |z|, real and
     # complex (Li2(z) ~ z, so only a relative bound sees lost digits), z just
-    # below 1 (the reflection), and the unit circle (|1 - z| <= 2).
+    # below 1 (the reflection), the unit circle (|1 - z| <= 2), and the
+    # circle |1 - z| = 1/2 where the reflection starts; |w| is largest where
+    # the two circles meet.
     ctx = PrecisionCtx(digits)
     rng = random.Random(2000 + digits)
     mp = ctx._mp
@@ -206,6 +208,12 @@ def test_li2_relative_accuracy_against_polylog(digits):
         th = ctx.mpf(rng.uniform(-3.1, 3.1))
         points += [rng.choice((1, -1)) * r, r * ctx.mpc(ctx.cos(th), ctx.sin(th)),
                    1 - ctx.pow10(-k)]
+    edge = random.Random(3000 + digits)
+    for _ in range(10):
+        th = ctx.mpf(edge.uniform(-3.2, 3.2))
+        points.append(ctx.mpc(ctx.cos(th), ctx.sin(th)))
+        th = ctx.mpf(edge.uniform(-3.2, 3.2))
+        points.append(1 + ctx.mpc(ctx.cos(th), ctx.sin(th)) / 2)
     ref_mp = MPContext()
     ref_mp.dps = 2 * digits + 20
     bound = ctx.pow10(-digits)
