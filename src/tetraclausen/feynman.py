@@ -382,7 +382,8 @@ def _c_from_s(ang: DerivedAngles, s: dict, ctx: PrecisionCtx):
 #
 #   s = v(v + 2(2+b)) + (2b)(b+2)    w^2 + b^2 - 4
 #   root = sqrt(s),  t = b / root
-#   L = log((1+t) / (1-t)) / 2                  arctanh(b/root)
+#   L = log(1 + (2t)/(1-t)) / 2                 arctanh(b/root), the sum exact
+#                                               (1+t rounded loses log2(1/t) bits)
 #
 # and each returns, with W = w + a, the three weighted terms
 #
@@ -443,8 +444,8 @@ def _tail_panel_integrand(a, b, ctx):
         s_val = mpf_add(mpf_mul(v, mpf_add(v, k_lin, prec, "n"), prec, "n"), k_const, prec, "n")
         root = mpf_sqrt(s_val, prec, "n")
         t = mpf_div(b_raw, root, prec, "n")
-        ratio = mpf_div(mpf_add(fone, t, prec, "n"), mpf_sub(fone, t, prec, "n"), prec, "n")
-        term = mpf_shift(mpf_log(ratio, prec, "n"), -1)
+        x = mpf_div(mpf_shift(t, 1), mpf_sub(fone, t, prec, "n"), prec, "n")
+        term = mpf_shift(mpf_log(mpf_add(fone, x, 0), prec, "n"), -1)
         return _weighted(mp, term, w, a_raw, root, prec)
 
     return f
@@ -463,13 +464,13 @@ def _sweep(a, b, ctx: PrecisionCtx, tol, direct_tol):
     finite = integrate(_finite_panel_integrand(a, b, ctx), (0, b), tol, ctx)
     tail = integrate(_tail_panel_integrand(a, b, ctx), (0, ctx.inf), tol, ctx)
     value = -prefactor * (finite[2].value + tail[2].value)
-    # The panel values and C are each rounded to ``digits``, by at most u
-    # relative; the estimate covers that as well as the quadrature error.
+    # The panel estimates cover the panels' rounding to ``digits``; this adds
+    # the rounding of C itself, at most u relative.
     u = ctx._mp.mpf(2) ** -ctx.prec_out
-    err = prefactor * (finite[2].error_estimate + tail[2].error_estimate
-                       + 2 * u * (abs(finite[2].value) + abs(tail[2].value)))
+    err = prefactor * (finite[2].error_estimate + tail[2].error_estimate) + u * abs(value)
     direct = QuadratureResult(round_out(value, ctx), round_out(err, ctx),
-                              finite.evaluations + tail.evaluations)
+                              finite.evaluations + tail.evaluations,
+                              max(finite.levels, tail.levels))
     if direct_tol is not None and err > direct_tol:
         # Possible when the per-panel tolerance clamps at the quadrature floor
         # (small b inflates the 16/b prefactor); never report silent success.

@@ -12,10 +12,16 @@ to the nearest endpoint is accurate in relative terms even when it is far
 below one ulp of the endpoint itself, and the integrand is never evaluated
 exactly at ``lo`` or ``hi``.
 
-Levels halve the mesh and reuse previous abscissas.  Convergence is declared
-when two successive level sums differ by less than ``tol/2``.  Both rules
-share one t grid per level; each (precision, level) pair's nodes are built
-once per process and kept by ``functools.lru_cache``.
+Levels halve the mesh and reuse previous abscissas.  Level m >= 2 is
+accepted when every component's ``d_m = |S_m - S_(m-1)|`` is below ``tol/2``,
+and level m >= 3 already when every component's extrapolated error
+``10 d_m^2 / d_(m-1)`` is below ``tol/2`` and ``d_(m-1) <= 1e-10 (1 + |S_m|)``,
+so that the sums converge quadratically (Bailey, Jeyabalan & Li, Exp. Math.
+14 (2005) 317-329).  The error estimate is that d_m or extrapolation, floored
+for rounding at working precision and for the tail cut-off, plus the
+rounding of the value to ``digits``.  Both rules share one t grid per level;
+each (precision, level) pair's nodes are built once per process and kept by
+``functools.lru_cache``.
 
 An integrand may return a tuple of reals; its components then share the
 nodes and the node loop, and convergence and the tail cut-off wait for the
@@ -53,23 +59,32 @@ MAX_LEVELS = 12
 # Consecutive negligible contributions before a level's node loop stops.
 _TAIL_RUN = 3
 
+# Early stop on 10 d_m^2/d_(m-1), once d_(m-1) <= 1e-10 (1+|S_m|): quadratic regime.
+_EXTRAPOLATION_FACTOR = 10
+_QUADRATIC_REGIME = 10 ** -10
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral value with an absolute error estimate and evaluation count."""
+    """Integral value, absolute error estimate, evaluation count, last level."""
 
     value: object
     error_estimate: object
     evaluations: int
+    levels: int
 
 
 class QuadratureResults(tuple):
     """One :class:`QuadratureResult` per component of a tuple integrand;
-    ``evaluations`` is the integrand call count they share."""
+    ``evaluations`` and ``levels`` are the call count and last level they share."""
 
     @property
     def evaluations(self) -> int:
         return self[0].evaluations
+
+    @property
+    def levels(self) -> int:
+        return self[0].levels
 
 
 class QuadratureError(ArithmeticError):
@@ -229,12 +244,14 @@ def integrate(f, domain, tol, ctx: PrecisionCtx):
     it may diverge integrably at the endpoints but is never called there.
 
     Returns a :class:`QuadratureResult` whose ``error_estimate`` bounds
-    ``|value - true integral|`` and is at most ``tol`` on success; for a
-    tuple integrand, :class:`QuadratureResults` with one per component, all
-    sharing one ``evaluations`` count (an empty domain calls nothing and
-    returns one result).  Raises :class:`QuadratureError` (carrying the best
-    result) if :data:`MAX_LEVELS` levels do not converge, or if the integrand
-    fails at an interior point.
+    ``|value - true integral|`` and is at most ``tol`` on success: the last
+    level difference, or its quadratic extrapolation (module docstring),
+    floored for rounding and the tail cut-off, plus the rounding of ``value``
+    to ``digits``.  For a tuple integrand, :class:`QuadratureResults` with one
+    per component, sharing ``evaluations`` and ``levels`` (an empty domain
+    calls nothing and returns one result).  Raises :class:`QuadratureError`
+    (carrying the best result) if :data:`MAX_LEVELS` levels do not converge,
+    or if the integrand fails at an interior point.
     """
     mp = ctx._mp
     lo, hi = domain
@@ -245,7 +262,7 @@ def integrate(f, domain, tol, ctx: PrecisionCtx):
         if not (lo < hi):
             if lo == hi:
                 zero = mp.mpf(0)
-                return QuadratureResult(zero, round_out(ctx.pow10(-ctx.digits), ctx), 0)
+                return QuadratureResult(zero, round_out(ctx.pow10(-ctx.digits), ctx), 0, 0)
             raise ValueError("domain must satisfy lo < hi")
     tol = ctx.mpf(tol)
     tol_floor = ctx.pow10(-ctx.digits + 5)
@@ -284,13 +301,16 @@ def integrate(f, domain, tol, ctx: PrecisionCtx):
             raise QuadratureError("integrand evaluation failed: %s" % exc) from exc
         return None if sums is None else [node_mpf(s) for s in sums]
 
-    def results(values, errors):
-        out = tuple(QuadratureResult(round_out(v, ctx), round_out(e, ctx), evaluations)
-                    for v, e in zip(values, errors))
+    eps, u_out = mp.mpf(2) ** (-prec + 4), mp.mpf(2) ** -ctx.prec_out
+
+    def results(level, values, errors):
+        out = tuple(QuadratureResult(round_out(v, ctx), round_out(
+            max(e, eps * (1 + abs(v)), tiny) + abs(v) * u_out, ctx), evaluations, level)
+            for v, e in zip(values, errors))
         return QuadratureResults(out) if is_tuple else out[0]
 
     scale = halfw if not semi_infinite else mp.mpf(1)
-    s_prev = None
+    s_prev = d_prev = None
     for m in range(MAX_LEVELS + 1):
         h = mp.mpf(2) ** (-m)
         sums = level_sum(m)
@@ -303,13 +323,17 @@ def integrate(f, domain, tol, ctx: PrecisionCtx):
             s_m = [p / 2 + q for p, q in zip(s_prev, partial)]
             diffs = [abs(p - q) for p, q in zip(s_m, s_prev)]
             if m >= 2 and all(diff < tol / 2 for diff in diffs):
-                floors = [mp.mpf(2) ** (-prec + 4) * (1 + abs(s)) for s in s_m]
-                return results(s_m, [diff if diff > floor else floor
-                                     for diff, floor in zip(diffs, floors)])
-        s_prev = s_m
+                return results(m, s_m, diffs)
+            # A zero d_(m-1) gives ``tol``, which never stops.
+            extrapolated = [_EXTRAPOLATION_FACTOR * d * d / dp if dp else tol
+                            for d, dp in zip(diffs, d_prev)]
+            if m >= 3 and all(e < tol / 2 and dp <= _QUADRATIC_REGIME * (1 + abs(s))
+                              for e, dp, s in zip(extrapolated, d_prev, s_m)):
+                return results(m, s_m, extrapolated)
+        s_prev, d_prev = s_m, diffs
 
     raise QuadratureError(
         "no convergence to tol=%s after %d levels (best estimate %s)"
         % (mp.nstr(tol, 3), MAX_LEVELS, mp.nstr(max(diffs), 3)),
-        result=results(s_prev, diffs),
+        result=results(MAX_LEVELS, s_prev, diffs),
     )

@@ -24,8 +24,8 @@ from tetraclausen.polylog import bernoulli_over_factorial
 from tetraclausen.pslq import (DETECTION_EXPONENT, InsufficientPrecision, RelationResult,
                                _canonical, check_relation)
 from tetraclausen.quad import (MAX_LEVELS, QuadratureError, QuadratureResult,
-                               QuadratureResults, _TAIL_RUN, _es_level, _node_ctx,
-                               _ts_level)
+                               QuadratureResults, _EXTRAPOLATION_FACTOR, _QUADRATIC_REGIME,
+                               _TAIL_RUN, _es_level, _node_ctx, _ts_level)
 
 
 def _mpf_nodes(nodes, prec):
@@ -109,13 +109,19 @@ def integrate(f, domain, tol, ctx, max_levels=MAX_LEVELS):
         is_tuple = isinstance(y, tuple)
         return y if is_tuple else (y,)
 
-    def results(values, errors):
-        out = tuple(QuadratureResult(round_out(v, ctx), round_out(e, ctx), evaluations)
-                    for v, e in zip(values, errors))
+    def results(level, values, errors):
+        out = []
+        for v, e in zip(values, errors):
+            # Floored for working-precision rounding and the tail cut-off,
+            # plus the rounding of the value to ``digits``.
+            floor = max(mp.mpf(2) ** (-prec + 4) * (1 + abs(v)), tiny)
+            err = max(e, floor) + abs(v) * mp.mpf(2) ** -ctx.prec_out
+            out.append(QuadratureResult(round_out(v, ctx), round_out(err, ctx), evaluations,
+                                        level))
         return QuadratureResults(out) if is_tuple else out[0]
 
     scale = halfw if not semi_infinite else mp.mpf(1)
-    s_prev = None
+    s_prev = d_prev = None
     for m in range(max_levels + 1):
         h = mp.mpf(2) ** (-m)
         if semi_infinite:
@@ -131,11 +137,14 @@ def integrate(f, domain, tol, ctx, max_levels=MAX_LEVELS):
             s_m = [p / 2 + q for p, q in zip(s_prev, partial)]
             diffs = [abs(p - q) for p, q in zip(s_m, s_prev)]
             if m >= 2 and all(diff < tol / 2 for diff in diffs):
-                floors = [mp.mpf(2) ** (-prec + 4) * (1 + abs(s)) for s in s_m]
-                return results(s_m, [diff if diff > floor else floor
-                                     for diff, floor in zip(diffs, floors)])
-        s_prev = s_m
-    raise QuadratureError("no convergence", result=results(s_prev, diffs))
+                return results(m, s_m, diffs)
+            extrapolated = [_EXTRAPOLATION_FACTOR * d * d / dp if dp else tol
+                            for d, dp in zip(diffs, d_prev)]
+            if m >= 3 and all(e < tol / 2 and dp <= _QUADRATIC_REGIME * (1 + abs(s))
+                              for e, dp, s in zip(extrapolated, d_prev, s_m)):
+                return results(m, s_m, extrapolated)
+        s_prev, d_prev = s_m, diffs
+    raise QuadratureError("no convergence", result=results(max_levels, s_prev, diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +181,8 @@ def tail_panel_integrand(a, b, ctx):
         s_val = v * (v + 2 * (2 + b)) + 2 * b * (b + 2)
         root = mp.sqrt(s_val)
         t = b / root
-        return _weighted(mp.log((1 + t) / (1 - t)) / 2, w, a, root)
+        # 1 + 2t/(1-t) formed exactly, so no bits of the arctanh are lost.
+        return _weighted(mp.log(mp.fadd(1, 2 * t / (1 - t), exact=True)) / 2, w, a, root)
 
     return f
 

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
-from tetraclausen.mpcore import DomainError
+from tetraclausen import feynman
+from tetraclausen.mpcore import DomainError, get_ctx
 from tetraclausen.feynman import (
     MassPair,
     Q_RELATIONS,
@@ -10,6 +12,7 @@ from tetraclausen.feynman import (
     RS_RELATIONS,
     c_closed,
     c_direct,
+    closed_integrals,
     derive,
     q_vector,
     r_vector,
@@ -180,6 +183,76 @@ class TestRoutes:
                  - sv["s5"][1] - sv["s6"][1] - sv["s7"][1] - sv["s8"][1])
         lhs = 2 * report.angles.d * (report.i_closed["I3"] + report.i_closed["I4"])
         assert abs(lhs - s_sum) < ctx50.pow10(-40)
+
+
+def seeded_masses(ctx, rng, per_class):
+    """Per class, ``per_class`` pairs: one mass log-uniform in [1e-5, 1e-2],
+    4 - a^2 - b^2 log-uniform in [1e-8, 1e-2], and uniform in the region."""
+    pairs = []
+    for _ in range(per_class):
+        small, other = ctx.mpf(10 ** rng.uniform(-5, -2)), ctx.mpf(rng.uniform(0.05, 1.95))
+        pairs.append((small, other) if rng.random() < 0.5 else (other, small))
+        gap, th = ctx.mpf(10 ** rng.uniform(-8, -2)), rng.uniform(0.15, math.pi / 2 - 0.15)
+        a = ctx.sqrt(4 - gap) * ctx.cos(th)
+        pairs.append((a, ctx.sqrt(4 - gap - a * a)))
+        r, th = math.sqrt(rng.uniform(0, 3.99)), rng.uniform(0, math.pi / 2)
+        pairs.append((ctx.mpf(max(r * math.cos(th), 1e-3)), ctx.mpf(max(r * math.sin(th), 1e-3))))
+    return pairs
+
+
+def closed_panels(a, b, digits):
+    """The finite and tail panels' three components from the closed forms
+    of I1..I4 at 2*digits + 30 digits (weight 1/(w(w+a)) = (1/w - 1/(w+a))/a)."""
+    hi = get_ctx(2 * digits + 30)
+    a, b = hi.mpf(a), hi.mpf(b)
+    ang = derive(MassPair(a, b), hi)
+    i = closed_integrals(ang, {**q_vector(ang, hi), **r_vector(ang, hi)}, hi)
+    return ((i["I2"], i["I4"], (i["I2"] - i["I4"]) / a),
+            (i["I1"], i["I3"], (i["I1"] - i["I3"]) / a))
+
+
+class TestQuadratureEstimates:
+    @pytest.mark.parametrize("digits,per_class", [(15, 4), (20, 4), (25, 4), (50, 4), (100, 1)])
+    def test_panel_values_within_estimates(self, digits, per_class):
+        # Each estimate covers the quadrature error and the rounding of the
+        # value to ``digits``, at stepwise's sweep tolerance.
+        ctx = get_ctx(digits)
+        for a, b in seeded_masses(ctx, random.Random(digits), per_class):
+            finite, tail, _ = feynman._sweep(a, b, ctx, ctx.pow10(-digits + 10) / 4, None)
+            for panel, want in zip((finite, tail), closed_panels(a, b, digits)):
+                for k, (got, ref) in enumerate(zip(panel, want)):
+                    assert abs(got.value - ref) <= got.error_estimate, (a, b, k)
+
+    def test_early_stop_at_100_digits(self):
+        # Stopping on the extrapolated error saves the finite panel its
+        # level 7 (1,310 evaluations before); the tail panel already met
+        # |S_6 - S_5| < tol/2, so it keeps its 708 evaluations and 6 levels.
+        ctx = get_ctx(100)
+        report = stepwise(MassPair(ctx.mpf("0.7"), ctx.mpf("1.1")), ctx)
+        finite, tail = report.i_quad["I2"], report.i_quad["I1"]
+        assert (finite.evaluations, finite.levels) == (662, 6)
+        assert (tail.evaluations, tail.levels) == (708, 6)
+        assert (report.direct.evaluations, report.direct.levels) == (1370, 6)
+
+    def test_direct_estimate_before_quadratic_regime(self):
+        # Here the level errors run 10^-1.6, 10^-5.2, 10^-7.2: the
+        # extrapolation would stop too early without the regime check.
+        ctx = get_ctx(20)
+        a, b = ctx.mpf("1.16000590504621"), ctx.mpf("0.000406249961977635")
+        direct = stepwise(MassPair(a, b), ctx, direct_tol=ctx.pow10(5) / 10).direct
+        hi = get_ctx(70)
+        assert abs(direct.value - c_closed(MassPair(hi.mpf(a), hi.mpf(b)), hi)) \
+            <= direct.error_estimate
+
+    @pytest.mark.parametrize("v", ["1e-20", "1", "100", "1e10", "1e40"])
+    def test_tail_arctanh_keeps_relative_precision(self, v):
+        ctx, hi = get_ctx(100), get_ctx(200)
+        a, b, v = ctx.mpf("0.935"), ctx.mpf("2.39e-5"), ctx.mpf(v)
+        got = feynman._tail_panel_integrand(a, b, ctx)(v)[0]
+        w = hi.mpf(v) + 2 + hi.mpf(b)
+        root = hi.sqrt(w * w + hi.mpf(b) ** 2 - 4)
+        want = hi.atanh(hi.mpf(b) / root) / (w * root)
+        assert abs(got - want) <= abs(want) * ctx._mp.mpf(2) ** (-ctx.prec_work + 4)
 
 
 def test_masspair_invariants():

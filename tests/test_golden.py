@@ -26,9 +26,9 @@ GOLDEN = [
     ("pslq --builtin r19 --a 1/pi --b 1/e --digits 200 --json",
      "8a4f1645097e505c709ec596bdba6f39f1ec1022d0ab750cf5df5e5d5a96b97d"),
     ("feynman --a 1 --b 1 --digits 50 --json",
-     "170ef67bf2f295a2b238e944467d2a0fe98ead57b203b7a3f2d585309e449846"),
+     "2556c46457f99acda7f91959c53fe2d964fb9a4f49a62ef9fb5dae72804ca8d8"),
     ("feynman --a 0.7 --b 1.1 --method all --digits 100 --json",
-     "06b81a8b2b15cbf19735ad41ff4cb7f2f757bc666344910b442606817c2eda2e"),
+     "25050fdf8af59eac24d59f39a3a0eed5f4149dbb572d12b1ed7cad1cb8e84cc4"),
 ]
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tetraclausen.quad import QuadratureError, integrate
+from tetraclausen.quad import MAX_LEVELS, QuadratureError, integrate
 
 
 TOL = "1e-40"
@@ -64,6 +64,7 @@ class TestTupleIntegrand:
         joint = integrate(lambda x: tuple(g(x) for g in parts), domain, tol, ctx)
         assert isinstance(joint, tuple) and len(joint) == len(parts)
         assert all(r.evaluations == joint.evaluations > 0 for r in joint)
+        assert all(r.levels == joint.levels >= 2 for r in joint)
         for g, r in zip(parts, joint):
             single = integrate(g, domain, tol, ctx)
             assert r.error_estimate <= tol
@@ -83,7 +84,7 @@ class TestTupleIntegrand:
 def test_empty_interval(ctx50):
     r = integrate(lambda x: 1 / x, (3, 3), ctx50.mpf(TOL), ctx50)
     assert r.value == 0
-    assert r.evaluations == 0
+    assert r.evaluations == r.levels == 0
 
 
 def test_nonintegrable_singularity_reports_best(ctx50):
@@ -91,6 +92,7 @@ def test_nonintegrable_singularity_reports_best(ctx50):
         integrate(lambda x: 1 / x, (0, 1), ctx50.mpf(TOL), ctx50)
     assert err.value.result is not None
     assert err.value.result.error_estimate > 0
+    assert err.value.result.levels == MAX_LEVELS
 
 
 def test_tolerance_floor_enforced(ctx50):
