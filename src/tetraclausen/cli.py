@@ -202,6 +202,8 @@ def _run_feynman(args, ctx):
     b = parse_number(args.b, ctx)
     m = feynman.MassPair(a, b)
     tol = parse_number(args.tol, ctx) if args.tol else ctx.pow10(-ctx.digits + 25)
+    if not tol > 0:
+        raise UsageError("--tol must be positive, got %s" % args.tol)
     values = {"a": to_decimal(a, ctx), "b": to_decimal(b, ctx)}
     results = []
     lines = []
@@ -288,6 +290,8 @@ def _run_pslq(args, ctx):
     if bool(args.builtin) == bool(args.values_from):
         raise UsageError("pslq needs exactly one of --builtin or --values-from")
     max_norm = parse_number(args.max_norm, ctx)
+    if not max_norm > 0:
+        raise UsageError("--max-norm must be positive, got %s" % args.max_norm)
     results = []
     lines = []
     values = {}

@@ -459,6 +459,8 @@ def _sweep(a, b, ctx: PrecisionCtx, tol, direct_tol):
     prefactor = 16 / b
     if direct_tol is not None:
         direct_tol = ctx.mpf(direct_tol)
+        if not direct_tol > 0:
+            raise ValueError("tol must be positive, got %s" % direct_tol)
         panel_tol = max(direct_tol / (2 * prefactor), ctx.pow10(-ctx.digits + 5))
         tol = panel_tol if tol is None else min(tol, panel_tol)
     finite = integrate(_finite_panel_integrand(a, b, ctx), (0, b), tol, ctx)
@@ -481,7 +483,7 @@ def _sweep(a, b, ctx: PrecisionCtx, tol, direct_tol):
 
 
 def c_direct(m: MassPair, tol, ctx: PrecisionCtx) -> QuadratureResult:
-    """C(a,b) by quadrature of the defining pair of integrals."""
+    """C(a,b) by quadrature of the defining pair of integrals, to ``tol`` > 0."""
     a, b = ctx.mpf(m.a), ctx.mpf(m.b)
     _validate_region(a, b, ctx)
     return _sweep(a, b, ctx, None, tol)[2]

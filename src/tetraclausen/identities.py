@@ -15,13 +15,15 @@ Fixed angle conventions used throughout:
   C(1,1); the two conventions are linked by 2*alpha = pi/2 - alpha_B.
 
 Mass-parameterized entries take their angles from ``feynman``'s reduction.
+The dilogarithm chain is evaluated once per precision: one cached table of
+its residuals serves ``appendix_chain`` and the nine ``chain-2.k`` entries.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .mpcore import PrecisionCtx, round_out
 from .polylog import cl2, li2
@@ -311,67 +313,54 @@ def _harmonic_gf(params, ctx):
 
 # -- dilogarithm chain ------------------------------------------------------
 
-def _chain_constants(ctx):
+@lru_cache(maxsize=8)
+def _chain(ctx):
+    """Residuals of the chain's substitutions and nine steps, rounded to ``digits``.
+
+    One table per precision serves ``appendix_chain`` and the nine
+    ``chain-2.k`` entries.  Each distinct ``li2`` value is computed once: ten,
+    as z is purely imaginary, so conj(z) = -z."""
+    mp, log = ctx._mp, ctx.log
     i = ctx.mpc(0, 1)
     x = (1 + i / ctx.sqrt(8)) / 2
     y = ctx.mpf(1) / 2
     u = (ctx.sqrt(8) + i) / 3
     z = -i / ctx.sqrt(8)
-    return x, y, u, z
-
-
-def _memo_li2(ctx):
-    """``li2`` at working precision, computed once per argument value."""
-    return lru_cache(maxsize=None, typed=True)(lambda v: li2(v, ctx))
-
-
-def _chain_residual(step, params, ctx, li2_at=None):
-    """Builder of one chain step (no params); ``li2_at`` shares dilogarithms."""
-    li2_at = li2_at or _memo_li2(ctx)
-    mp = ctx._mp
-    x, y, u, z = _chain_constants(ctx)
+    li_u2, li_mu2, li_u4 = li2(u * u, ctx), li2(-u * u, ctx), li2(u ** 4, ctx)
+    li_x, li_xc, li_y = li2(x, ctx), li2(mp.conj(x), ctx), li2(y, ctx)
+    li_z, li_mz = li2(z, ctx), li2(-z, ctx)
+    li_1mz, li_inv = li2(1 - z, ctx), li2(1 / (1 + z), ctx)
     pi2_6 = ctx.pi ** 2 / 6
-    log = ctx.log
-    if step == "2.1":
-        lhs = li2_at(u * u)
-        rhs = (li2_at(1 - z) + li2_at(1 / (1 + z)) - li2_at(x)
-               - li2_at(y) + ctx.ln2 * log(1 - x))
-    elif step == "2.2":
-        lhs = li2_at(1 - z)
-        rhs = -li2_at(z) + pi2_6 - log(z) * log(1 - z)
-    elif step == "2.3":
-        lhs = li2_at(1 / (1 + z))
-        rhs = li2_at(-z) + pi2_6 - log(1 + z) * log((1 + z) / (z * z)) / 2
-    elif step == "2.4":
-        lhs = li2_at(u * u)
-        rhs = (li2_at(mp.conj(z)) - li2_at(z) - li2_at(x) + ctx.pi ** 2 / 3
-               - li2_at(y) + ctx.ln2 * log(1 - x) - log(z) * log(1 - z)
-               - log(1 + z) * log((1 + z) / (z * z)) / 2)
-    elif step == "2.5":
-        lhs = li2_at(x) + li2_at(-u * u)
-        rhs = -log(1 - x) ** 2 / 2
-    elif step == "2.6":
-        lhs = li2_at(u * u) + li2_at(-u * u)
-        rhs = li2_at(u ** 4) / 2
-    elif step == "2.7":
-        lhs = li2_at(u ** 4)
-        rhs = 2 * li2_at(u * u) - 2 * li2_at(x) - log(1 - x) ** 2
-    elif step == "2.8":
-        lhs = li2_at(u ** 4) - li2_at(u * u)
-        rhs = (li2_at(mp.conj(z)) - li2_at(z) - 3 * li2_at(x) + ctx.pi ** 2 / 3
-               - li2_at(y) + ctx.ln2 * log(1 - x) - log(1 - x) ** 2
-               - log(z) * log(1 - z) - log(1 + z) * log((1 + z) / (z * z)) / 2)
-    elif step == "2.9":
-        i = ctx.mpc(0, 1)
-        lhs = (li2_at(u ** 4) - li2_at(u * u)).imag
-        rest = (ctx.ln2 * log(1 - x) - log(1 - x) ** 2 - log(z) * log(1 - z)
-                - log(1 + z) * log((1 + z) / (z * z)) / 2)
-        rhs = ((li2_at(mp.conj(z)) - li2_at(z)) / i
-               - 3 * (li2_at(x) - li2_at(mp.conj(x))) / (2 * i) + rest.imag)
-        return abs(lhs - rhs.real) + abs(rhs.imag)
-    else:
-        raise ValueError("unknown chain step %r" % step)
-    return abs(lhs - rhs)
+    log_1mx = log(1 - x)
+    zz = log(z) * log(1 - z)
+    inv = log(1 + z) * log((1 + z) / (z * z)) / 2
+    rest = ctx.ln2 * log_1mx - log_1mx ** 2 - zz - inv
+    rhs_9 = (li_mz - li_z) / i - 3 * (li_x - li_xc) / (2 * i) + rest.imag
+    # Step (2.k) is |LHS - (RHS)|, each side summed in its written order.
+    residuals = {
+        "subst-x-over-1mx": abs(x / (1 - x) - u * u),
+        "subst-y-over-1my": abs(y / (1 - y) - 1),
+        "subst-x-over-1my": abs(x / (1 - y) - (1 - z)),
+        "subst-y-over-1mx": abs(y / (1 - x) - 1 / (1 + z)),
+        "u-unit-modulus": abs(abs(u) - 1),
+        "chain-2.1": abs(li_u2 - (li_1mz + li_inv - li_x - li_y + ctx.ln2 * log_1mx)),
+        "chain-2.2": abs(li_1mz - (-li_z + pi2_6 - zz)),
+        "chain-2.3": abs(li_inv - (li_mz + pi2_6 - inv)),
+        "chain-2.4": abs(li_u2 - (li_mz - li_z - li_x + ctx.pi ** 2 / 3 - li_y
+                                  + ctx.ln2 * log_1mx - zz - inv)),
+        "chain-2.5": abs(li_x + li_mu2 - (-log_1mx ** 2 / 2)),
+        "chain-2.6": abs(li_u2 + li_mu2 - li_u4 / 2),
+        "chain-2.7": abs(li_u4 - (2 * li_u2 - 2 * li_x - log_1mx ** 2)),
+        "chain-2.8": abs(li_u4 - li_u2 - (li_mz - li_z - 3 * li_x + ctx.pi ** 2 / 3 - li_y
+                                          + ctx.ln2 * log_1mx - log_1mx ** 2 - zz - inv)),
+        "chain-2.9": abs((li_u4 - li_u2).imag - rhs_9.real) + abs(rhs_9.imag),
+    }
+    return {k: round_out(v, ctx) for k, v in residuals.items()}
+
+
+def _chain_step(k):
+    """Builder of chain step (2.k): its entry in the table of ``_chain``."""
+    return lambda params, ctx: _chain(ctx)["chain-2.%d" % k]
 
 
 def broadhurst_series(ctx: PrecisionCtx, terms: int) -> BroadhurstSeries:
@@ -411,23 +400,11 @@ def _broadhurst_series_identity(params, ctx):
 
 
 def appendix_chain(ctx: PrecisionCtx) -> ChainReport:
-    """Residuals of every step of the dilogarithm chain plus its substitutions.
-
-    The nine steps share one ``li2`` value per distinct argument: ten, as z
-    is purely imaginary, so conj(z) = -z."""
-    x, y, u, z = _chain_constants(ctx)
-    residuals = {
-        "subst-x-over-1mx": abs(x / (1 - x) - u * u),
-        "subst-y-over-1my": abs(y / (1 - y) - 1),
-        "subst-x-over-1my": abs(x / (1 - y) - (1 - z)),
-        "subst-y-over-1mx": abs(y / (1 - x) - 1 / (1 + z)),
-        "u-unit-modulus": abs(abs(u) - 1),
-    }
-    li2_at = _memo_li2(ctx)
-    for k in range(1, 10):
-        step = "2.%d" % k
-        residuals["chain-" + step] = _chain_residual(step, {}, ctx, li2_at)
-    residuals = {k: round_out(v, ctx) for k, v in residuals.items()}
+    """Residuals of every step of the dilogarithm chain plus its substitutions,
+    from the table the ``chain-2.k`` entries share (``_chain``)."""
+    # Equal contexts share the table; rounding a rounded value again is exact
+    # and gives it ``ctx``'s own mpf type.
+    residuals = {k: round_out(v, ctx) for k, v in _chain(ctx).items()}
     threshold = ctx.pow10(-ctx.digits + PASS_EXPONENT_MARGIN)
     passed = all(v < threshold for v in residuals.values())
     return ChainReport(residuals=residuals, digits=ctx.digits, passed=passed)
@@ -544,7 +521,7 @@ _CATALOG = (
                  "sum H_n/(2n+1) z^(2n+1) in dilogarithms"),
     _uniform_spec("harmonic-gf", "x", _MARGIN, 0.95, _harmonic_gf,
                   "sum H_n x^(2n) = -log(1-x^2)/(1-x^2)"),
-    *(IdentitySpec("chain-2.%d" % k, (), "proven", partial(_chain_residual, "2.%d" % k),
+    *(IdentitySpec("chain-2.%d" % k, (), "proven", _chain_step(k),
                    _sample_none, "dilogarithm chain step (2.%d)" % k)
       for k in range(1, 10)),
     IdentitySpec("broadhurst-series", (), "proven", _broadhurst_series_identity,

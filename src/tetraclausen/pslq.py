@@ -104,7 +104,7 @@ def check_relation(coeffs, xs, ctx: PrecisionCtx):
 def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = None) -> RelationResult:
     """Search for an integer relation among ``xs`` (length >= 2, all nonzero).
 
-    ``max_norm`` bounds the Euclidean norm of relations of interest: the
+    ``max_norm`` (> 0) bounds the Euclidean norm of relations of interest: the
     search reports ``none_found`` once it can certify no relation with norm
     below ``max_norm`` exists, and never reports one above it as ``found``.
     """
@@ -116,6 +116,8 @@ def find_relation(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | None = 
     if any(v == 0 for v in x):
         raise ValueError("all values must be nonzero at working precision")
     max_norm = ctx.mpf(max_norm)
+    if not max_norm > 0:
+        raise ValueError("max_norm must be positive, got %s" % max_norm)
 
     tol = ctx.pow10(-int(DETECTION_EXPONENT * ctx.digits))
     if max_iterations is None:

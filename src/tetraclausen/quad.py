@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import mpf_abs, mpf_add, mpf_lt, mpf_mul, mpf_sub
+from mpmath.libmp import mpf_abs, mpf_add, mpf_cosh_sinh, mpf_lt, mpf_mul, mpf_sub
 
 from .mpcore import PrecisionCtx, round_out
 
@@ -132,16 +132,17 @@ def _level(prec: int, level: int, node):
 
 
 def _ts_node(mp, t, half_pi):
-    g = half_pi * mp.sinh(t)
+    ch, sh = map(mp.make_mpf, mpf_cosh_sinh(t._mpf_, mp.prec, "n"))  # mp.cosh, mp.sinh
+    g = half_pi * sh
     e2g = mp.exp(2 * g)
     offset = 2 / (e2g + 1)           # 1 - tanh(g), no cancellation
-    weight = half_pi * mp.cosh(t) * (4 * e2g / (e2g + 1) ** 2)  # (pi/2)cosh(t)/cosh(g)^2
+    weight = half_pi * ch * (4 * e2g / (e2g + 1) ** 2)  # (pi/2)cosh(t)/cosh(g)^2
     return offset._mpf_, weight._mpf_, not t
 
 
 def _es_node(mp, t, half_pi):
-    ch = mp.cosh(t)
-    g = half_pi * mp.sinh(t)
+    ch, sh = map(mp.make_mpf, mpf_cosh_sinh(t._mpf_, mp.prec, "n"))  # mp.cosh, mp.sinh
+    g = half_pi * sh
     r_pos = mp.exp(g)
     w_pos = half_pi * ch * r_pos
     if not t:

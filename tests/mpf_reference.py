@@ -1,4 +1,4 @@
-"""Reference copies of the quadrature node loops, integrands and PSLQ on mpf objects.
+"""Reference copies of the quadrature nodes, node loops, integrands and PSLQ on mpf objects.
 
 ``tetraclausen.quad``, the feynman panel integrands and the tail integrand
 of ``polylog.cl2_series_reference`` compute on raw ``_mpf_`` tuples through
@@ -7,6 +7,8 @@ mpf operators, whose precision comes from the left operand's context: node
 weights carry ``prec_work + 20`` bits, so weighted contributions and level
 sums are rounded there, and abscissas, whose left operand is ``lo`` or
 ``hi``, at ``prec_work``.  The tuple versions must return identical bits.
+``ts_level`` and ``es_level`` build the nodes with ``mp.cosh`` and
+``mp.sinh``, and ``quad``'s cached levels must equal them.
 
 ``pslq.find_relation`` runs its iteration on integers scaled by 2^P;
 ``find_relation_mpf`` runs it on mpf objects at working precision and must
@@ -19,6 +21,8 @@ own mpf table, and the two must round to the same bits.
 
 from fractions import Fraction
 
+from mpmath.ctx_mp import MPContext
+
 from tetraclausen.mpcore import DomainError, PrecisionCtx, get_ctx, round_out
 from tetraclausen.polylog import bernoulli_over_factorial
 from tetraclausen.pslq import (DETECTION_EXPONENT, InsufficientPrecision, RelationResult,
@@ -26,6 +30,47 @@ from tetraclausen.pslq import (DETECTION_EXPONENT, InsufficientPrecision, Relati
 from tetraclausen.quad import (MAX_LEVELS, QuadratureError, QuadratureResult,
                                QuadratureResults, _EXTRAPOLATION_FACTOR, _QUADRATIC_REGIME,
                                _TAIL_RUN, _es_level, _node_ctx, _ts_level)
+
+
+def _node_levels(prec, level, node):
+    """``quad._level``'s t grid, with ``node(mp, t, half_pi)`` on mpf objects."""
+    mp = MPContext()
+    mp.prec = prec + 20
+    tmax = mp.asinh(2 * (prec / 3.32 + 8) * mp.log(10) / mp.pi)
+    h = mp.mpf(2) ** (-level)
+    j, step = (0, 1) if level == 0 else (1, 2)
+    nodes = []
+    while j * h <= tmax:
+        nodes.append(node(mp, j * h, mp.pi / 2))
+        j += step
+    return tuple(nodes)
+
+
+def _ts_node(mp, t, half_pi):
+    g = half_pi * mp.sinh(t)
+    e2g = mp.exp(2 * g)
+    weight = half_pi * mp.cosh(t) * (4 * e2g / (e2g + 1) ** 2)
+    return (2 / (e2g + 1))._mpf_, weight._mpf_, not t
+
+
+def _es_node(mp, t, half_pi):
+    ch = mp.cosh(t)
+    r_pos = mp.exp(half_pi * mp.sinh(t))
+    w_pos = half_pi * ch * r_pos
+    if not t:
+        return None, None, r_pos._mpf_, w_pos._mpf_
+    r_neg = 1 / r_pos
+    return r_neg._mpf_, (half_pi * ch * r_neg)._mpf_, r_pos._mpf_, w_pos._mpf_
+
+
+def ts_level(prec, level):
+    """``quad._ts_level`` with cosh t and sinh t from ``mp.cosh`` and ``mp.sinh``."""
+    return _node_levels(prec, level, _ts_node)
+
+
+def es_level(prec, level):
+    """``quad._es_level`` with cosh t and sinh t from ``mp.cosh`` and ``mp.sinh``."""
+    return _node_levels(prec, level, _es_node)
 
 
 def _mpf_nodes(nodes, prec):
@@ -222,6 +267,8 @@ def find_relation_mpf(xs, max_norm, ctx: PrecisionCtx, max_iterations: int | Non
     if any(v == 0 for v in x):
         raise ValueError("all values must be nonzero at working precision")
     max_norm = ctx.mpf(max_norm)
+    if not max_norm > 0:
+        raise ValueError("max_norm must be positive, got %s" % max_norm)
 
     gamma = ctx.sqrt(mp.mpf(4) / 3)
     tol = ctx.pow10(-int(DETECTION_EXPONENT * ctx.digits))

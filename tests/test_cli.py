@@ -139,6 +139,12 @@ class TestFeynmanCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_tol_not_positive_exit_2(self, capsys, tol):
+        assert main(["feynman", "--a", "1", "--b", "1", "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol must be positive") and len(err.strip().splitlines()) == 1
+
     def test_route_mismatch_exit_2(self, capsys, monkeypatch):
         def mismatch(*args, **kwargs):
             raise feynman.RouteMismatchError("I3", 1, 2, 1, 0)
@@ -219,6 +225,13 @@ class TestPslqCommand:
         assert main(["pslq", "--values-from", str(path), "--digits", "30",
                      "--max-norm", "1e4"]) == 0
         assert "no relation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_max_norm_not_positive_exit_2(self, capsys, bound):
+        assert main(["pslq", "--builtin", "conj14", "--digits", "30", "--max-norm", bound]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --max-norm must be positive")
+        assert len(err.strip().splitlines()) == 1
 
     def test_requires_exactly_one_source(self):
         code, _, _ = run_cli(["pslq", "--digits", "30"])

@@ -135,6 +135,11 @@ class TestRoutes:
         direct = c_direct(m, ctx50.pow10(-35), ctx50)
         assert abs(direct.value - broadhurst) < ctx50.pow10(-30)
 
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_direct_tol_must_be_positive(self, ctx50, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            c_direct(MassPair(ctx50.mpf(1), ctx50.mpf(1)), tol, ctx50)
+
     def test_closed_form_symmetry(self, ctx50):
         a, b = ctx50.mpf("0.4"), ctx50.mpf("1.3")
         assert abs(c_closed(MassPair(a, b), ctx50) - c_closed(MassPair(b, a), ctx50)) \

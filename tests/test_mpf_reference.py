@@ -8,7 +8,7 @@ import pytest
 import mpf_reference as ref
 from tetraclausen import feynman, polylog
 from tetraclausen.mpcore import get_ctx
-from tetraclausen.quad import _node_ctx, _ts_level, integrate
+from tetraclausen.quad import _es_level, _node_ctx, _ts_level, integrate
 
 
 def raw(results):
@@ -26,6 +26,14 @@ def mass_pairs(ctx, seed, count):
         a = rng.uniform(0.05, 1.4)
         pairs.append((ctx.mpf(repr(a)), ctx.mpf(repr(rng.uniform(0.05, (3.9 - a * a) ** 0.5)))))
     return pairs
+
+
+@pytest.mark.parametrize("digits", [15, 50, 200])
+def test_nodes_match_reference(digits):
+    prec = get_ctx(digits, 10).prec_work
+    for level in range(5):
+        assert _ts_level(prec, level) == ref.ts_level(prec, level), level
+        assert _es_level(prec, level) == ref.es_level(prec, level), level
 
 
 @pytest.mark.parametrize("digits,seeded", [(15, 3), (20, 3), (50, 2), (100, 1), (200, 0)])

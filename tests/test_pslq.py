@@ -113,6 +113,9 @@ class TestFindRelation:
             find_relation([ctx100.mpf(1)], 100, ctx100)
         with pytest.raises(ValueError):
             find_relation([ctx100.mpf(1), ctx100.mpf(0)], 100, ctx100)
+        for bound in (0, -5):
+            with pytest.raises(ValueError, match="max_norm must be positive"):
+                find_relation([ctx100.pi, ctx100.ln2], bound, ctx100)
 
 
 _planted_ctx = PrecisionCtx(60)
