@@ -4,7 +4,8 @@ Subcommands
 -----------
 eval     evaluate cl2 or li2 at one point and print a decimal string
 feynman  C(a,b) by the closed form, direct quadrature, and/or the stepwise
-         reduction, with cross-route agreement checks
+         reduction (one stepwise report serves all but ``--method closed``),
+         each check passing below 10^(-digits+10) plus any quadrature error
 verify   run identity-catalog verification suites
 pslq     integer-relation searches on built-in or user-supplied vectors
 
@@ -134,15 +135,13 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--x", help="real argument for li2")
     common(p_eval)
 
-    p_fey = sub.add_parser("feynman", help="C(a,b) by one or all routes")
+    p_fey = sub.add_parser("feynman", help="C(a,b) by one or all routes", description=(
+        "C(a,b) by one or all routes; each check passes below 10^(-digits+10)"
+        " plus the error estimate of any quadrature it involves"))
     p_fey.add_argument("--a", required=True)
     p_fey.add_argument("--b", required=True)
     p_fey.add_argument("--method", choices=["closed", "direct", "stepwise", "all"],
                        default="all")
-    p_fey.add_argument("--tol", default=None,
-                       help="cross-route agreement tolerance (default 10^(-digits+25),"
-                            " which is >= 1 for digits <= 25: there the checks pass"
-                            " whatever the values)")
     common(p_fey)
 
     p_ver = sub.add_parser("verify", help="verify identity suites")
@@ -201,57 +200,47 @@ def _run_feynman(args, ctx):
     a = parse_number(args.a, ctx)
     b = parse_number(args.b, ctx)
     m = feynman.MassPair(a, b)
-    tol = parse_number(args.tol, ctx) if args.tol else ctx.pow10(-ctx.digits + 25)
-    if not tol > 0:
-        raise UsageError("--tol must be positive, got %s" % args.tol)
     values = {"a": to_decimal(a, ctx), "b": to_decimal(b, ctx)}
-    results = []
-    lines = []
-    computed = {}
+    results, lines, computed = [], [], {}
 
-    steps = None
-    if args.method in ("stepwise", "all"):
-        # With all routes the stepwise report also gives c_closed, from its s
-        # vector, and c_direct, from its sweep held to c_direct's tolerance.
-        steps = feynman.stepwise(m, ctx, direct_tol=tol / 10 if args.method == "all" else None)
+    # One stepwise report gives every route; its s vector gives c_closed.
+    steps = feynman.stepwise(m, ctx) if args.method != "closed" else None
     if args.method in ("closed", "all"):
         computed["closed"] = feynman.c_closed(m, ctx) if steps is None else steps.closed
         values["c_closed"] = to_decimal(computed["closed"], ctx)
         lines.append("c_closed    = " + values["c_closed"])
     if args.method in ("direct", "all"):
-        res = feynman.c_direct(m, tol, ctx) if steps is None else steps.direct
-        computed["direct"] = res.value
-        values["c_direct"] = to_decimal(res.value, ctx)
-        values["c_direct.error_estimate"] = to_decimal(res.error_estimate, ctx)
+        computed["direct"] = steps.direct.value
+        values["c_direct"] = to_decimal(steps.direct.value, ctx)
+        values["c_direct.error_estimate"] = to_decimal(steps.direct.error_estimate, ctx)
         lines.append("c_direct    = %s  (error estimate %s, %d evaluations)"
                      % (values["c_direct"], values["c_direct.error_estimate"],
-                        res.evaluations))
-    if steps is not None:
+                        steps.direct.evaluations))
+    if args.method in ("stepwise", "all"):
         computed["stepwise"] = steps.c_from_steps
         values["c_stepwise"] = to_decimal(steps.c_from_steps, ctx)
         lines.append("c_stepwise  = " + values["c_stepwise"])
-        step_tol = ctx.pow10(-ctx.digits + 10)
         for name in ("I1", "I2", "I3", "I4"):
             values[name + ".closed"] = to_decimal(steps.i_closed[name], ctx)
             values[name + ".quadrature"] = to_decimal(steps.i_quad[name].value, ctx)
             residual = steps.match_residuals[name]
             results.append(_result(name + "-closed-vs-quadrature",
-                                   residual < step_tol + steps.i_quad[name].error_estimate,
+                                   residual < steps.tol + steps.i_quad[name].error_estimate,
                                    to_decimal(residual, ctx), 1))
         i12 = abs(steps.i1_plus_i2_closed)
         values["i1_plus_i2.closed"] = to_decimal(steps.i1_plus_i2_closed, ctx)
         values["i1_plus_i2.quadrature"] = to_decimal(steps.i1_plus_i2_quad, ctx)
-        results.append(_result("i1-plus-i2", i12 < step_tol, to_decimal(i12, ctx), 1))
-        for label, vec in (("q", steps.q), ("r", steps.r), ("s", steps.s)):
+        results.append(_result("i1-plus-i2", i12 < steps.tol, to_decimal(i12, ctx), 1))
+        for vec in (steps.q, steps.r, steps.s):
             for name, (angle, value) in vec.items():
                 values[name] = to_decimal(value, ctx)
                 values[name + ".angle"] = to_decimal(angle, ctx)
 
-    pairs = [("closed", "direct"), ("closed", "stepwise"), ("direct", "stepwise")]
-    for left, right in pairs:
+    for left, right in (("closed", "direct"), ("closed", "stepwise"), ("direct", "stepwise")):
         if left in computed and right in computed:
             diff = abs(computed[left] - computed[right])
-            ok = diff < tol
+            quad_err = steps.direct.error_estimate if "direct" in (left, right) else 0
+            ok = diff < steps.tol + quad_err
             results.append(_result("%s-vs-%s" % (left, right), ok, to_decimal(diff, ctx), 1))
             lines.append("%-22s %s  (|diff| = %s)"
                          % ("%s vs %s:" % (left, right), "pass" if ok else "FAIL",
@@ -286,6 +275,18 @@ def _run_verify(args, ctx):
     return results, values, lines
 
 
+def _bound_str(bound, max_norm, ctx):
+    """``bound`` cut toward zero to 2 significant digits, so that it stays a
+    bound (about 40 of its digits hold at 100), or ``max_norm`` if larger."""
+    x, floor = (Fraction(v.man_exp[0]) * Fraction(2) ** v.man_exp[1] for v in (bound, max_norm))
+    e = len(str(x.numerator)) - len(str(x.denominator))
+    e -= x < Fraction(10) ** e
+    m = int(x / Fraction(10) ** (e - 1))   # 10 <= m <= 99
+    if m * Fraction(10) ** (e - 1) < floor:
+        return to_decimal(max_norm, ctx)
+    return "%d.%de%+d" % (m // 10, m % 10, e)
+
+
 def _run_pslq(args, ctx):
     if bool(args.builtin) == bool(args.values_from):
         raise UsageError("pslq needs exactly one of --builtin or --values-from")
@@ -310,7 +311,7 @@ def _run_pslq(args, ctx):
             values["%s.residual" % name] = res_str
             results.append(_result(name, True, res_str, 1))
         else:
-            bound_str = to_decimal(rel.exclusion_bound, ctx)
+            bound_str = _bound_str(rel.exclusion_bound, max_norm, ctx)
             lines.append("%-18s no relation with norm below %s" % (name, bound_str))
             values["%s.exclusion_bound" % name] = bound_str
             results.append(_result(name, not expect_found, bound_str, 1))

@@ -451,18 +451,10 @@ def _tail_panel_integrand(a, b, ctx):
     return f
 
 
-def _sweep(a, b, ctx: PrecisionCtx, tol, direct_tol):
+def _sweep(a, b, ctx: PrecisionCtx, tol):
     """``(finite, tail, direct)``: each panel integrated once to ``tol`` with
-    the weights 1/w, 1/(w+a), 1/(w(w+a)), and C(a,b) from the last weight.
-    ``tol`` is tightened where needed for the direct value to meet
-    ``direct_tol`` (either may be None, not both), else QuadratureError."""
+    the weights 1/w, 1/(w+a), 1/(w(w+a)), and C(a,b) from the last weight."""
     prefactor = 16 / b
-    if direct_tol is not None:
-        direct_tol = ctx.mpf(direct_tol)
-        if not direct_tol > 0:
-            raise ValueError("tol must be positive, got %s" % direct_tol)
-        panel_tol = max(direct_tol / (2 * prefactor), ctx.pow10(-ctx.digits + 5))
-        tol = panel_tol if tol is None else min(tol, panel_tol)
     finite = integrate(_finite_panel_integrand(a, b, ctx), (0, b), tol, ctx)
     tail = integrate(_tail_panel_integrand(a, b, ctx), (0, ctx.inf), tol, ctx)
     value = -prefactor * (finite[2].value + tail[2].value)
@@ -470,23 +462,27 @@ def _sweep(a, b, ctx: PrecisionCtx, tol, direct_tol):
     # the rounding of C itself, at most u relative.
     u = ctx._mp.mpf(2) ** -ctx.prec_out
     err = prefactor * (finite[2].error_estimate + tail[2].error_estimate) + u * abs(value)
-    direct = QuadratureResult(round_out(value, ctx), round_out(err, ctx),
-                              finite.evaluations + tail.evaluations,
-                              max(finite.levels, tail.levels))
-    if direct_tol is not None and err > direct_tol:
-        # Possible when the per-panel tolerance clamps at the quadrature floor
-        # (small b inflates the 16/b prefactor); never report silent success.
-        raise QuadratureError(
-            "combined panel error %s exceeds requested tol; raise digits"
-            % to_decimal(err, ctx), result=direct)
-    return finite, tail, direct
+    return finite, tail, QuadratureResult(round_out(value, ctx), round_out(err, ctx),
+                                          finite.evaluations + tail.evaluations,
+                                          max(finite.levels, tail.levels))
 
 
 def c_direct(m: MassPair, tol, ctx: PrecisionCtx) -> QuadratureResult:
-    """C(a,b) by quadrature of the defining pair of integrals, to ``tol`` > 0."""
+    """C(a,b) by quadrature of the defining pair of integrals, to ``tol`` > 0,
+    else QuadratureError (the panel tolerance clamps at the quadrature floor,
+    and small b inflates the 16/b prefactor)."""
     a, b = ctx.mpf(m.a), ctx.mpf(m.b)
     _validate_region(a, b, ctx)
-    return _sweep(a, b, ctx, None, tol)[2]
+    tol = ctx.mpf(tol)
+    if not tol > 0:
+        raise ValueError("tol must be positive, got %s" % tol)
+    panel_tol = max(tol / (2 * (16 / b)), ctx.pow10(-ctx.digits + 5))
+    direct = _sweep(a, b, ctx, panel_tol)[2]
+    if direct.error_estimate > tol:
+        raise QuadratureError(
+            "combined panel error %s exceeds requested tol; raise digits"
+            % to_decimal(direct.error_estimate, ctx), result=direct)
+    return direct
 
 
 def c_closed(m: MassPair, ctx: PrecisionCtx):
@@ -520,25 +516,24 @@ class StepReport:
     i1_plus_i2_closed: object
     i1_plus_i2_quad: object
     match_residuals: dict  # name -> |closed - quad|
+    tol: object           # check tolerance 10^(-digits+10)
 
 
-def stepwise(m: MassPair, ctx: PrecisionCtx, direct_tol=None) -> StepReport:
+def stepwise(m: MassPair, ctx: PrecisionCtx) -> StepReport:
     """Evaluate I1..I4 by quadrature and closed form, with the q/r/s vectors.
 
-    The sweep integrates I1..I4 to 10^(-digits+10)/4, a quarter of the
-    closed-vs-quadrature match tolerance.  It also gives ``report.direct``,
-    C(a,b) from the defining integrals; with ``direct_tol`` it is held to
-    what ``c_direct(m, direct_tol, ctx)`` guarantees, or raises as that would.
-    ``report.closed`` equals ``c_closed(m, ctx)``, summed from the s vector.
-
-    Raises :class:`RouteMismatchError` naming the integral if any closed form
-    disagrees with its quadrature beyond 10^(-digits+10) plus the quadrature's
-    own error estimate.
+    Two values agree when they differ by less than ``report.tol`` =
+    10^(-digits+10) plus the error estimate of any quadrature among them.
+    The sweep integrates I1..I4 to a quarter of it and gives ``report.direct``,
+    C(a,b) from the defining integrals.  ``report.closed`` equals
+    ``c_closed(m, ctx)``, summed from the s vector.  Raises
+    :class:`RouteMismatchError` naming the integral if a closed form and its
+    quadrature do not agree.
     """
     ang = derive(m, ctx)
     a, b = ang.a, ang.b
-    match_tol = ctx.pow10(-ctx.digits + 10)
-    finite, tail, direct = _sweep(a, b, ctx, match_tol / 4, direct_tol)
+    tol = ctx.pow10(-ctx.digits + 10)
+    finite, tail, direct = _sweep(a, b, ctx, tol / 4)
     i_quad = {"I1": tail[0], "I2": finite[0], "I3": tail[1], "I4": finite[1]}
     q, r, s = q_vector(ang, ctx), r_vector(ang, ctx), s_vector(ang, ctx)
     i_closed = closed_integrals(ang, {**q, **r}, ctx)
@@ -547,9 +542,9 @@ def stepwise(m: MassPair, ctx: PrecisionCtx, direct_tol=None) -> StepReport:
     for name in ("I1", "I2", "I3", "I4"):
         diff = abs(i_closed[name] - i_quad[name].value)
         residuals[name] = round_out(diff, ctx)
-        if diff > match_tol + i_quad[name].error_estimate:
+        if diff > tol + i_quad[name].error_estimate:
             raise RouteMismatchError(name, i_closed[name], i_quad[name].value,
-                                     diff, match_tol)
+                                     diff, tol)
 
     c_steps = round_out(16 / (a * b) * (i_closed["I3"] + i_closed["I4"]), ctx)
     return StepReport(
@@ -565,4 +560,5 @@ def stepwise(m: MassPair, ctx: PrecisionCtx, direct_tol=None) -> StepReport:
         i1_plus_i2_closed=round_out(i_closed["I1"] + i_closed["I2"], ctx),
         i1_plus_i2_quad=round_out(i_quad["I1"].value + i_quad["I2"].value, ctx),
         match_residuals=residuals,
+        tol=tol,
     )

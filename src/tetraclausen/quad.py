@@ -20,7 +20,7 @@ so that the sums converge quadratically (Bailey, Jeyabalan & Li, Exp. Math.
 14 (2005) 317-329).  The error estimate is that d_m or extrapolation, floored
 for rounding at working precision and for the tail cut-off, plus the
 rounding of the value to ``digits``.  Both rules share one t grid per level;
-each (precision, level) pair's nodes are built once per process and kept by
+each (precision, level) pair's nodes are built once and kept by a bounded
 ``functools.lru_cache``.
 
 An integrand may return a tuple of reals; its components then share the
@@ -98,17 +98,19 @@ class QuadratureError(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # Nodes.  Cached by working precision in bits, so any two contexts at the same
-# precision share them; a cached level is a tuple and never mutated.
+# precision share them; a cached level is a tuple and never mutated.  The
+# bounds hold all 13 levels of both rules for nine precisions; an evicted
+# entry is rebuilt bit for bit.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _node_ctx(prec: int):
     ctx = MPContext()
     ctx.prec = prec
     return ctx
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _level(prec: int, level: int, node):
     """``node(mp, t, half_pi)`` for each t of one level, on ``prec + 20`` bits.
 

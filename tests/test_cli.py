@@ -1,14 +1,16 @@
 import json
+import random
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
-from tetraclausen import feynman
+from tetraclausen import feynman, pslq
 from tetraclausen.cli import REPORT_SCHEMA, main, parse_number
-from tetraclausen.mpcore import from_decimal
+from tetraclausen.mpcore import from_decimal, get_ctx
 from tetraclausen.polylog import cl2
+from tetraclausen.quad import QuadratureError
 
 
 def run_cli(args):
@@ -133,17 +135,36 @@ class TestFeynmanCommand:
                      "--digits", "50"]) == 0
         assert counts == {"cl2": cl2_calls, "derive": 1}
 
-    def test_unreachable_direct_tol_exit_2(self, capsys):
-        assert main(["feynman", "--a", "1", "--b", "1", "--method", "direct",
-                     "--tol", "1e-100"]) == 2
+    def test_tol_option_removed_exit_2(self, capsys):
+        assert main(["feynman", "--a", "1", "--b", "1", "--tol", "1e-3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("tol", ["0", "-1"])
-    def test_tol_not_positive_exit_2(self, capsys, tol):
-        assert main(["feynman", "--a", "1", "--b", "1", "--tol", tol]) == 2
+    def test_inaccurate_closed_form_fails_checks(self, capsys):
+        # c_closed is 3.3e-17 off here, far beyond the 30-digit tolerance.
+        assert main(["feynman", "--a", "1e-14", "--b", "0.5", "--digits", "30",
+                     "--method", "all"]) == 1
+        out = capsys.readouterr().out
+        assert [line.split()[3] for line in out.splitlines() if " vs " in line] == ["FAIL"] * 3
+
+    def test_direct_prints_the_value_of_all(self, capsys):
+        values = {}
+        for method in ("direct", "all"):
+            assert main(["feynman", "--a", "0.7", "--b", "1.1", "--method", method,
+                         "--digits", "50", "--json"]) == 0
+            values[method] = json.loads(capsys.readouterr().out)["values"]
+        for key in ("c_direct", "c_direct.error_estimate"):
+            assert values["direct"][key] == values["all"][key]
+
+    def test_quadrature_error_exit_2(self, capsys, monkeypatch):
+        def fails(*args, **kwargs):
+            raise QuadratureError("no convergence")
+
+        monkeypatch.setattr(feynman, "stepwise", fails)
+        assert main(["feynman", "--a", "1", "--b", "1", "--method", "direct",
+                     "--digits", "30"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --tol must be positive") and len(err.strip().splitlines()) == 1
+        assert err == "error: no convergence\n"
 
     def test_route_mismatch_exit_2(self, capsys, monkeypatch):
         def mismatch(*args, **kwargs):
@@ -225,6 +246,22 @@ class TestPslqCommand:
         assert main(["pslq", "--values-from", str(path), "--digits", "30",
                      "--max-norm", "1e4"]) == 0
         assert "no relation" in capsys.readouterr().out
+
+    def test_exclusion_bound_printed_to_digits_that_hold(self, tmp_path, capsys):
+        # Only about 40 digits of the 100-digit bound hold, so two are
+        # printed, cut toward zero: still a bound, and still >= --max-norm.
+        rng = random.Random(12)
+        path = tmp_path / "vals.txt"
+        path.write_text("".join("%d.%s\n" % (rng.randint(1, 9), "".join(
+            rng.choice("0123456789") for _ in range(310))) for _ in range(12)))
+        assert main(["pslq", "--values-from", str(path), "--max-norm", "1e6",
+                     "--digits", "100", "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)["values"]["values-from.exclusion_bound"]
+        mantissa = printed.split("e")[0].replace(".", "").strip("0")
+        assert len(mantissa) <= 2, printed
+        hi = get_ctx(300)
+        bound = pslq.find_relation(pslq.read_value_file(str(path), hi), 10 ** 6, hi)
+        assert 10 ** 6 <= hi.mpf(printed) <= bound.exclusion_bound
 
     @pytest.mark.parametrize("bound", ["0", "-5"])
     def test_max_norm_not_positive_exit_2(self, capsys, bound):

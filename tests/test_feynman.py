@@ -1,10 +1,11 @@
+import json
 import math
 import random
 
 import pytest
 
 from tetraclausen import feynman
-from tetraclausen.mpcore import DomainError, get_ctx
+from tetraclausen.mpcore import DomainError, get_ctx, to_decimal
 from tetraclausen.feynman import (
     MassPair,
     Q_RELATIONS,
@@ -20,7 +21,9 @@ from tetraclausen.feynman import (
     s_vector,
     stepwise,
 )
+from tetraclausen.cli import main
 from tetraclausen.polylog import cl2
+from tetraclausen.quad import QuadratureError
 
 
 def recip_pi_e(ctx):
@@ -140,6 +143,11 @@ class TestRoutes:
         with pytest.raises(ValueError, match="tol must be positive"):
             c_direct(MassPair(ctx50.mpf(1), ctx50.mpf(1)), tol, ctx50)
 
+    def test_unreachable_direct_tol_raises(self, ctx50):
+        with pytest.raises(QuadratureError) as info:
+            c_direct(MassPair(ctx50.mpf(1), ctx50.mpf(1)), ctx50.pow10(-100), ctx50)
+        assert info.value.result.error_estimate > ctx50.pow10(-100)
+
     def test_closed_form_symmetry(self, ctx50):
         a, b = ctx50.mpf("0.4"), ctx50.mpf("1.3")
         assert abs(c_closed(MassPair(a, b), ctx50) - c_closed(MassPair(b, a), ctx50)) \
@@ -205,6 +213,19 @@ def seeded_masses(ctx, rng, per_class):
     return pairs
 
 
+@pytest.mark.parametrize("digits", [20, 50])
+def test_all_routes_pass_at_seeded_masses(capsys, digits):
+    # Masses near 0 and near a^2 + b^2 = 4 pass every check of
+    # ``feynman --method all`` under its tolerance.
+    ctx = get_ctx(digits)
+    for a, b in seeded_masses(ctx, random.Random(digits), 4):
+        argv = ["feynman", "--a", to_decimal(a, ctx), "--b", to_decimal(b, ctx),
+                "--digits", str(digits), "--json"]
+        assert main(argv) == 0, argv
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert len(results) == 8 and all(r["status"] == "pass" for r in results), argv
+
+
 def closed_panels(a, b, digits):
     """The finite and tail panels' three components from the closed forms
     of I1..I4 at 2*digits + 30 digits (weight 1/(w(w+a)) = (1/w - 1/(w+a))/a)."""
@@ -223,7 +244,7 @@ class TestQuadratureEstimates:
         # value to ``digits``, at stepwise's sweep tolerance.
         ctx = get_ctx(digits)
         for a, b in seeded_masses(ctx, random.Random(digits), per_class):
-            finite, tail, _ = feynman._sweep(a, b, ctx, ctx.pow10(-digits + 10) / 4, None)
+            finite, tail, _ = feynman._sweep(a, b, ctx, ctx.pow10(-digits + 10) / 4)
             for panel, want in zip((finite, tail), closed_panels(a, b, digits)):
                 for k, (got, ref) in enumerate(zip(panel, want)):
                     assert abs(got.value - ref) <= got.error_estimate, (a, b, k)
@@ -244,7 +265,7 @@ class TestQuadratureEstimates:
         # extrapolation would stop too early without the regime check.
         ctx = get_ctx(20)
         a, b = ctx.mpf("1.16000590504621"), ctx.mpf("0.000406249961977635")
-        direct = stepwise(MassPair(a, b), ctx, direct_tol=ctx.pow10(5) / 10).direct
+        direct = stepwise(MassPair(a, b), ctx).direct
         hi = get_ctx(70)
         assert abs(direct.value - c_closed(MassPair(hi.mpf(a), hi.mpf(b)), hi)) \
             <= direct.error_estimate

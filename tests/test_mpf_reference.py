@@ -41,11 +41,11 @@ def test_sweep_matches_reference(monkeypatch, digits, seeded):
     ctx = get_ctx(digits, 10)
     tol = ctx.pow10(-digits + 6)
     pairs = mass_pairs(ctx, digits, seeded)
-    fast = [feynman._sweep(a, b, ctx, tol, None) for a, b in pairs]
+    fast = [feynman._sweep(a, b, ctx, tol) for a, b in pairs]
     monkeypatch.setattr(feynman, "integrate", ref.integrate)
     monkeypatch.setattr(feynman, "_finite_panel_integrand", ref.finite_panel_integrand)
     monkeypatch.setattr(feynman, "_tail_panel_integrand", ref.tail_panel_integrand)
-    slow = [feynman._sweep(a, b, ctx, tol, None) for a, b in pairs]
+    slow = [feynman._sweep(a, b, ctx, tol) for a, b in pairs]
     for (a, b), got, want in zip(pairs, fast, slow):
         assert [raw(r) for r in got] == [raw(r) for r in want], (a, b)
 
