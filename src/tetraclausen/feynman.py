@@ -44,7 +44,7 @@ from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_log, mpf_mul,
                           mpf_shift, mpf_sqrt, mpf_sub)
 
 from .mpcore import DomainError, PrecisionCtx, round_out, to_decimal
-from .polylog import cl2
+from .polylog import _cl2 as cl2  # the unrounded kernel: public values round once
 from .quad import QuadratureError, QuadratureResult, integrate
 
 __all__ = [
@@ -233,7 +233,7 @@ def _assert_angle_invariants(ang: DerivedAngles, ctx: PrecisionCtx):
 # ---------------------------------------------------------------------------
 
 def q_vector(ang: DerivedAngles, ctx: PrecisionCtx) -> dict:
-    """q1..q13: named (angle, value) pairs from the mass-independent pieces."""
+    """q1..q13: named (angle, unrounded value) pairs from the mass-independent pieces."""
     pi = ctx.pi
     a1, a2 = ang.alpha1, ang.alpha2
     angles = {
@@ -250,7 +250,7 @@ def q_vector(ang: DerivedAngles, ctx: PrecisionCtx) -> dict:
 
 
 def r_vector(ang: DerivedAngles, ctx: PrecisionCtx) -> dict:
-    """r1..r19: the Clausen values of the two mass-dependent integrals."""
+    """r1..r19: the unrounded Clausen values of the two mass-dependent integrals."""
     pi = ctx.pi
     angles = {
         "r1": ang.delta2 - ang.alpha4, "r2": ang.delta2 - ang.alpha3,
@@ -268,7 +268,7 @@ def r_vector(ang: DerivedAngles, ctx: PrecisionCtx) -> dict:
 
 
 def s_vector(ang: DerivedAngles, ctx: PrecisionCtx) -> dict:
-    """s1..s8: the Clausen values of the eight-term closed form."""
+    """s1..s8: the unrounded Clausen values of the eight-term closed form."""
     ph, pa, pb = ang.phi, ang.phi_a, ang.phi_b
     angles = {
         "s1": 4 * ph, "s2": 2 * pa + 2 * pb - 2 * ph, "s3": 2 * pa - 2 * ph,
@@ -344,14 +344,15 @@ _C_CLOSED = (("s1", 1), ("s2", 1), ("s3", 1), ("s4", 1),
 
 def closed_integrals(ang: DerivedAngles, values: dict, ctx: PrecisionCtx) -> dict:
     """The closed forms of those of I1..I4 whose Clausen values are in
-    ``values`` (the q vector gives I1 and I2, the r vector I3 and I4)."""
+    ``values`` (the q vector gives I1 and I2, the r vector I3 and I4), at
+    working precision: callers round what they return, once."""
     scale = {"I1": 4 * ang.c, "I2": 2 * ang.c, "I3": 2 * ang.d, "I4": 2 * ang.d}
-    return {name: round_out(1 / scale[name] * relation_residual(values, combo), ctx)
+    return {name: 1 / scale[name] * relation_residual(values, combo)
             for name, combo in I_CLOSED if combo[0][0] in values}
 
 
-def _c_from_s(ang: DerivedAngles, s: dict, ctx: PrecisionCtx):
-    return round_out(8 / (ang.a * ang.b * ang.d) * relation_residual(s, _C_CLOSED), ctx)
+def _c_from_s(ang: DerivedAngles, s: dict):
+    return 8 / (ang.a * ang.b * ang.d) * relation_residual(s, _C_CLOSED)
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +487,9 @@ def c_direct(m: MassPair, tol, ctx: PrecisionCtx) -> QuadratureResult:
 
 
 def c_closed(m: MassPair, ctx: PrecisionCtx):
-    """C(a,b) from the eight-term Clausen closed form."""
+    """C(a,b) from the eight-term Clausen closed form, rounded once, after the sum."""
     ang = derive(m, ctx)
-    return _c_from_s(ang, s_vector(ang, ctx), ctx)
+    return round_out(_c_from_s(ang, s_vector(ang, ctx)), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +500,9 @@ def c_closed(m: MassPair, ctx: PrecisionCtx):
 class StepReport:
     """Everything the reduction chain produces for one mass pair.
 
-    Each Clausen value is computed once: the q, r and s vectors hold them,
-    ``i_closed`` sums the q and r values by :data:`I_CLOSED`, and ``closed``
-    is ``c_closed``'s eight-term sum over the s values.
+    Each Clausen value is computed once, in the q, r and s vectors.  Their
+    sums ``i_closed`` (by :data:`I_CLOSED`), ``closed`` (``c_closed``'s eight
+    terms) and ``c_from_steps`` keep working precision; each value is rounded once.
     """
 
     angles: DerivedAngles
@@ -546,16 +547,18 @@ def stepwise(m: MassPair, ctx: PrecisionCtx) -> StepReport:
             raise RouteMismatchError(name, i_closed[name], i_quad[name].value,
                                      diff, tol)
 
-    c_steps = round_out(16 / (a * b) * (i_closed["I3"] + i_closed["I4"]), ctx)
+    closed = round_out(_c_from_s(ang, s), ctx)
+    q, r, s = ({k: (angle, round_out(v, ctx)) for k, (angle, v) in vec.items()}
+               for vec in (q, r, s))
     return StepReport(
         angles=ang,
         i_quad=i_quad,
-        i_closed=i_closed,
+        i_closed={name: round_out(v, ctx) for name, v in i_closed.items()},
         q=q,
         r=r,
         s=s,
-        c_from_steps=c_steps,
-        closed=_c_from_s(ang, s, ctx),
+        c_from_steps=round_out(16 / (a * b) * (i_closed["I3"] + i_closed["I4"]), ctx),
+        closed=closed,
         direct=direct,
         i1_plus_i2_closed=round_out(i_closed["I1"] + i_closed["I2"], ctx),
         i1_plus_i2_quad=round_out(i_quad["I1"].value + i_quad["I2"].value, ctx),

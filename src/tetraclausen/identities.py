@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .mpcore import PrecisionCtx, round_out
-from .polylog import cl2, li2
+from .polylog import _cl2 as cl2, _li2 as li2  # unrounded kernels
 from . import feynman
 
 __all__ = [
@@ -315,7 +315,7 @@ def _harmonic_gf(params, ctx):
 
 @lru_cache(maxsize=8)
 def _chain(ctx):
-    """Residuals of the chain's substitutions and nine steps, rounded to ``digits``.
+    """Residuals of the chain's substitutions and nine steps, at working precision.
 
     One table per precision serves ``appendix_chain`` and the nine
     ``chain-2.k`` entries.  Each distinct ``li2`` value is computed once: ten,
@@ -337,7 +337,7 @@ def _chain(ctx):
     rest = ctx.ln2 * log_1mx - log_1mx ** 2 - zz - inv
     rhs_9 = (li_mz - li_z) / i - 3 * (li_x - li_xc) / (2 * i) + rest.imag
     # Step (2.k) is |LHS - (RHS)|, each side summed in its written order.
-    residuals = {
+    return {
         "subst-x-over-1mx": abs(x / (1 - x) - u * u),
         "subst-y-over-1my": abs(y / (1 - y) - 1),
         "subst-x-over-1my": abs(x / (1 - y) - (1 - z)),
@@ -355,7 +355,6 @@ def _chain(ctx):
                                           + ctx.ln2 * log_1mx - log_1mx ** 2 - zz - inv)),
         "chain-2.9": abs((li_u4 - li_u2).imag - rhs_9.real) + abs(rhs_9.imag),
     }
-    return {k: round_out(v, ctx) for k, v in residuals.items()}
 
 
 def _chain_step(k):
@@ -402,8 +401,6 @@ def _broadhurst_series_identity(params, ctx):
 def appendix_chain(ctx: PrecisionCtx) -> ChainReport:
     """Residuals of every step of the dilogarithm chain plus its substitutions,
     from the table the ``chain-2.k`` entries share (``_chain``)."""
-    # Equal contexts share the table; rounding a rounded value again is exact
-    # and gives it ``ctx``'s own mpf type.
     residuals = {k: round_out(v, ctx) for k, v in _chain(ctx).items()}
     threshold = ctx.pow10(-ctx.digits + PASS_EXPONENT_MARGIN)
     passed = all(v < threshold for v in residuals.values())

@@ -6,10 +6,10 @@ two contexts built with the same ``(digits, guard_digits)`` produce bitwise
 identical results for the same call sequence, and contexts from different
 parts of a program never interfere.
 
-Internally a context computes at ``digits + guard_digits`` decimal digits
-and results that cross a public API boundary are rounded back to ``digits``
-(see :func:`round_out`).  Non-finite values never escape: any overflow or
-domain violation raises :class:`DomainError`.
+A context computes at ``digits + guard_digits`` decimal digits.  Kernels
+and the sums built on them keep that precision; only public returns round,
+each value once, to ``digits`` (:func:`round_out`).  Non-finite values never
+escape: any overflow or domain violation raises :class:`DomainError`.
 """
 
 from __future__ import annotations

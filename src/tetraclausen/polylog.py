@@ -168,11 +168,8 @@ def _cl2_series(t, ctx: PrecisionCtx):
     return ctx._mp.make_mpf(libmp.mpf_mul(t._mpf_, u, prec, "n"))
 
 
-def cl2(theta, ctx: PrecisionCtx):
-    """Clausen function Cl2(theta) = -int_0^theta log|2 sin(u/2)| du.
-
-    Odd and 2pi-periodic; defined for any finite real angle.
-    """
+def _cl2(theta, ctx: PrecisionCtx):
+    """:func:`cl2` unrounded, at working precision: sums of it round once."""
     theta = theta if isinstance(theta, ctx._mp.mpf) else ctx.mpf(theta)
     if not ctx.isfinite(theta):
         raise DomainError("cl2 requires a finite angle")
@@ -184,7 +181,15 @@ def cl2(theta, ctx: PrecisionCtx):
         # Duplication: Cl2(t) = Cl2(pi - t) - Cl2(2pi - 2t)/2, both arguments
         # now in [0, 2pi/3).
         value = _cl2_series(pi - t, ctx) - _cl2_series(2 * (pi - t), ctx) / 2
-    return round_out(sign * value, ctx)
+    return sign * value
+
+
+def cl2(theta, ctx: PrecisionCtx):
+    """Clausen function Cl2(theta) = -int_0^theta log|2 sin(u/2)| du.
+
+    Odd and 2pi-periodic; defined for any finite real angle.  Rounded to ``digits``.
+    """
+    return round_out(_cl2(theta, ctx), ctx)
 
 
 def cl2_series_reference(theta, ctx: PrecisionCtx, terms: int = 256):
@@ -311,13 +316,8 @@ def _li2_main(z, ctx: PrecisionCtx):
     return _li2_log_series(-mp.log1p(-z), ctx)
 
 
-def li2(z, ctx: PrecisionCtx):
-    """Principal-branch dilogarithm sum z^n/n^2, real or complex argument.
-
-    Real arguments z <= 1 give a real result; real z > 1 lie on the branch
-    cut and return the standard complex continuation with
-    Im Li2(z) = -pi*log(z).
-    """
+def _li2(z, ctx: PrecisionCtx):
+    """:func:`li2` unrounded, at working precision: sums of it round once."""
     mp = ctx._mp
     if isinstance(z, (int, float, Fraction)):
         z = ctx.mpf(z)
@@ -329,7 +329,17 @@ def li2(z, ctx: PrecisionCtx):
         z = z.real
     if not ctx.isfinite(z):
         raise DomainError("li2 requires a finite argument")
-    return round_out(_li2_main(z, ctx), ctx)
+    return _li2_main(z, ctx)
+
+
+def li2(z, ctx: PrecisionCtx):
+    """Principal-branch dilogarithm sum z^n/n^2, real or complex argument.
+
+    Real arguments z <= 1 give a real result; real z > 1 lie on the branch
+    cut and return the standard complex continuation with
+    Im Li2(z) = -pi*log(z).  Rounded to ``digits``.
+    """
+    return round_out(_li2(z, ctx), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +428,8 @@ def log_sin_product_integral(alpha, beta, a, b, c, ctx: PrecisionCtx) -> LogTrig
             raise DomainError("integrand argument is negative on the interval")
 
     value = (beta - alpha) * ctx.log(big_r / 2)
-    value += cl2(d2 - beta, ctx) - cl2(d2 - alpha, ctx)
-    value += cl2(d1 + alpha, ctx) - cl2(d1 + beta, ctx)
+    value += _cl2(d2 - beta, ctx) - _cl2(d2 - alpha, ctx)
+    value += _cl2(d1 + alpha, ctx) - _cl2(d1 + beta, ctx)
     return LogTrigClosedForm(round_out(value, ctx), round_out(d1, ctx), round_out(d2, ctx))
 
 
@@ -444,7 +454,7 @@ def log_tan_integral(alpha, beta, delta, ctx: PrecisionCtx):
         raise DomainError("positivity requires delta <= alpha")
     if beta == alpha:
         return round_out(ctx._mp.mpf(0), ctx)
-    value = (cl2(2 * alpha - 2 * delta, ctx) - cl2(2 * beta - 2 * delta, ctx)
-             + cl2(ctx.pi - 2 * alpha, ctx) - cl2(ctx.pi - 2 * beta, ctx)) / 2
+    value = (_cl2(2 * alpha - 2 * delta, ctx) - _cl2(2 * beta - 2 * delta, ctx)
+             + _cl2(ctx.pi - 2 * alpha, ctx) - _cl2(ctx.pi - 2 * beta, ctx)) / 2
     value -= (beta - alpha) * ctx.log(ctx.cos(delta))
     return round_out(value, ctx)

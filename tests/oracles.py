@@ -2,9 +2,12 @@
 
 These deliberately share no code with the implementation paths they check:
 Catalan's constant comes from Chebyshev-accelerated summation of the
-defining alternating series, and brute-force series evaluators are written
-directly from the definitions.
+defining alternating series, brute-force series evaluators are written
+directly from the definitions, and C(a,b) is summed on mpmath's own Clausen
+function.
 """
+
+import mpmath
 
 from tetraclausen.mpcore import PrecisionCtx
 
@@ -39,3 +42,22 @@ def li2_brute(x, ctx: PrecisionCtx, terms=4000):
         power *= x
         total += power / (n * n)
     return total
+
+
+def c_eight_term(a, b, digits):
+    """C(a,b) by the eight-term Clausen closed form at ``digits`` + 30 digits,
+    in mpmath alone: Cl2 is ``mpmath.clsin(2, .)``, the angles are
+    phi = atan(d/p), phi_a = atan(d/a), phi_b = atan(d/b)."""
+    mp = mpmath.MPContext()
+    mp.dps = digits + 30
+    a, b = mp.mpf(a), mp.mpf(b)
+    d = mp.sqrt(4 - a * a - b * b)
+    ph, pa, pb = mp.atan(d / (a + b + 2)), mp.atan(d / a), mp.atan(d / b)
+
+    def cl(t):
+        return mp.clsin(2, t)
+
+    total = (cl(4 * ph) + cl(2 * pa + 2 * pb - 2 * ph) + cl(2 * pa - 2 * ph)
+             + cl(2 * pb - 2 * ph) - cl(2 * pa + 2 * pb - 4 * ph)
+             - cl(2 * pa) - cl(2 * pb) - cl(2 * ph))
+    return 8 / (a * b * d) * total

@@ -141,8 +141,10 @@ class TestFeynmanCommand:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_inaccurate_closed_form_fails_checks(self, capsys):
-        # c_closed is 3.3e-17 off here, far beyond the 30-digit tolerance.
-        assert main(["feynman", "--a", "1e-14", "--b", "0.5", "--digits", "30",
+        # At a = 1e-30 the eight-term Clausen sum cancels by about 10^30, which
+        # the 10 guard digits cannot absorb: c_closed and c_stepwise are 2e-80
+        # to 4e-80 off, far beyond the 100-digit tolerance.
+        assert main(["feynman", "--a", "1e-30", "--b", "0.5", "--digits", "100",
                      "--method", "all"]) == 1
         out = capsys.readouterr().out
         assert [line.split()[3] for line in out.splitlines() if " vs " in line] == ["FAIL"] * 3

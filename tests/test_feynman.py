@@ -24,6 +24,7 @@ from tetraclausen.feynman import (
 from tetraclausen.cli import main
 from tetraclausen.polylog import cl2
 from tetraclausen.quad import QuadratureError
+from oracles import c_eight_term
 
 
 def recip_pi_e(ctx):
@@ -224,6 +225,24 @@ def test_all_routes_pass_at_seeded_masses(capsys, digits):
         assert main(argv) == 0, argv
         results = json.loads(capsys.readouterr().out)["results"]
         assert len(results) == 8 and all(r["status"] == "pass" for r in results), argv
+
+
+@pytest.mark.parametrize("digits,per_class", [(15, 4), (20, 4), (25, 4), (50, 4), (100, 1)])
+def test_closed_forms_meet_the_digits_contract(digits, per_class):
+    # Each public value is rounded once, after its Clausen sum, so C(a,b) by
+    # the closed form and by the steps is within one unit in the last of
+    # ``digits`` significant digits, or the call raises the typed DomainError.
+    ctx = get_ctx(digits)
+    for a, b in seeded_masses(ctx, random.Random(digits), per_class):
+        try:
+            report = stepwise(MassPair(a, b), ctx)
+        except DomainError:
+            continue
+        ref = c_eight_term(a, b, digits)
+        mp = ref.context
+        ulp = mp.mpf(10) ** (mp.floor(mp.log10(abs(ref))) - digits + 1)
+        for name in ("closed", "c_from_steps"):
+            assert abs(mp.mpf(getattr(report, name)) - ref) <= ulp, (a, b, name)
 
 
 def closed_panels(a, b, digits):

@@ -20,15 +20,15 @@ pytestmark = pytest.mark.skipif(
 
 GOLDEN = [
     ("verify --suite all --samples 20 --seed 42 --digits 60 --json",
-     "58c3c9df23d79f40bd8d8230ca9085fcc2bc817747b44fa1868ea6a040bbedc2"),
+     "b816e7d19f968ca133953a9f09686dbda0a2130b0a7f42e0edbb232e0a3add30"),
     ("pslq --builtin conj14 --digits 200 --json",
-     "e06a0408570a230411adba866c0558449437e64a55e63a49b3a2ff1776ceda1e"),
+     "0467b21d069aab1ad4d6c5e43b32fe6a75a6c6811bdf5192941956c7685d527b"),
     ("pslq --builtin r19 --a 1/pi --b 1/e --digits 200 --json",
-     "8a4f1645097e505c709ec596bdba6f39f1ec1022d0ab750cf5df5e5d5a96b97d"),
+     "ac545d3cb77883b165393e1ac690a617f98c01cf69631a1a2028b46055c2c020"),
     ("feynman --a 1 --b 1 --digits 50 --json",
-     "2556c46457f99acda7f91959c53fe2d964fb9a4f49a62ef9fb5dae72804ca8d8"),
+     "0c51a9bd845b904128b7a4a445fd73735825e7ec6770ec93dbf4254443a719f9"),
     ("feynman --a 0.7 --b 1.1 --method all --digits 100 --json",
-     "25050fdf8af59eac24d59f39a3a0eed5f4149dbb572d12b1ed7cad1cb8e84cc4"),
+     "6dce954045053f0e4a403cbb61709cbea560e2a631245eddca3365e164045d52"),
 ]
 
 

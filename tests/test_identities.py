@@ -62,9 +62,15 @@ class TestVerify:
         assert a == b
 
     def test_full_catalog_passes(self, ctx60):
+        # Residuals are formed from unrounded values and rounded once, so they
+        # sit far below the pass threshold, except where a side is a rounded
+        # public value (c_closed, broadhurst_series).
+        rounded_sides = ("broadhurst-c11", "broadhurst-series")
         for name in catalog_names():
             rep = verify(name, 5, 42, ctx60)
             assert rep.passed, (name, rep.max_residual)
+            if name not in rounded_sides:
+                assert rep.max_residual < ctx60.pow10(-ctx60.digits - 5), (name, rep.max_residual)
 
     def test_conjecture_14_at_60_and_200_digits(self, ctx60):
         rep60 = verify("conj-1.4", 1, 42, ctx60)
