@@ -4,22 +4,29 @@ The Clausen function is evaluated from the integrated cotangent expansion
 
     Cl2(t) = t - t*log(t) + sum_{k>=1} |B_2k| / (2k (2k+1) (2k)!) * t^(2k+1)
 
-after reduction to (0, pi] by oddness and periodicity, with one duplication
-step pulling arguments in (2pi/3, pi] back below 2pi/3 so the series ratio
-never exceeds 1/9.  The series is summed in fixed point: Python integers
-scaled by 2^P, with P = 20 bits beyond the working precision, in the form
+after reduction to [0, pi] by oddness and periodicity.  The reduction is
+mpmath's ``mod_pi2``, the one behind its sine and cosine: it writes |theta|
+as n pi/2 + r on integers and raises its precision until r keeps its
+significant bits next to a multiple of pi/2, so the value keeps them next to
+its zeros k pi.  Above 2pi/3 the duplication formula
+Cl2(pi - x) = Cl2(x) - Cl2(2x)/2 turns the expansion into one about pi with
+no logarithm, whose ratio, like the first one's below 2pi/3, stays under
+1/7.  Both are summed in fixed point: Python integers scaled by 2^P, with
+P = 20 bits beyond the working precision, in the form
 
     Cl2(t) = t (1 - log t + sum_{k>=1} d_k X^k),   X = (t/2pi)^2,
+    Cl2(pi - x) = x (log 2 - sum_{k>=1} d_k (4^k - 1) X^k),   X = (x/2pi)^2,
     d_k = |B_2k| (2pi)^2k / (2k (2k+1) (2k)!) = zeta(2k) / (k (2k+1)).
 
 The (2pi)^2k scaling is what makes fixed point safe.  Unscaled, the
 coefficients fall like (2pi)^-2k, so at a fixed binary point they would keep
 ever fewer significant bits, while the powers of t grow up to (2pi/3)^2k.
-Scaled, every d_k lies in (0, pi^2/18] and every X^k is at most 9^-k.  The
-coefficients are built from mpmath's Bernoulli numbers (``bernfrac``, which
-reconstructs each B_2k from a numerical value by the von Staudt-Clausen
-theorem) and rounded once per fixed-point precision into a cached table; the
-log term and the final product are single mpf operations.
+Scaled, every d_k lies in (0, pi^2/18], and every X^k, like every
+(4^k - 1) X^k with x < pi/3, is at most 9^-k.  The coefficients are built
+from mpmath's Bernoulli numbers (``bernfrac``, which reconstructs each B_2k
+from a numerical value by the von Staudt-Clausen theorem) and rounded once
+per fixed-point precision into a cached table; the log term and the final
+product are single mpf operations.
 
 A second, independent evaluation route, :func:`cl2_series_reference`, sums
 the defining series sum sin(n t)/n^2 directly and completes it with the
@@ -27,7 +34,8 @@ exact Laplace-transform tail
 
     sum_{n>M} z^n/n^2 = integral_0^inf  s (z e^-s)^(M+1) / (1 - z e^-s) ds,
 
-evaluated by quadrature.  It shares nothing with the primary route past
+evaluated by quadrature.  Every term is 2pi-periodic, so it sums at theta
+itself, without reduction; it shares nothing with the primary route past
 elementary functions and serves as its cross-check oracle.
 
 The dilogarithm sums one series on the same table, in w = -log(1-z)
@@ -54,6 +62,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import libmp
+from mpmath.libmp import libelefun
 
 from .mpcore import DomainError, PrecisionCtx, get_ctx, round_out
 from . import quad
@@ -103,51 +112,18 @@ def _cl2_table(fixed: int, n: int):
 # Clausen function.
 # ---------------------------------------------------------------------------
 
-def _reduce_to_0_pi(theta, ctx: PrecisionCtx, pi=None):
-    """Map theta to (sign, t) with t in [0, pi], using 2pi-periodicity and oddness."""
-    mp = ctx._mp
-    pi = ctx.pi if pi is None else pi
-    two_pi = 2 * pi
-    prec = ctx.prec_work
-    _, man, exp, bc = theta._mpf_
-    if not man or exp + bc < prec - 8:
-        # theta/2pi has at least 8 bits after the point: k is the nearest
-        # integer or, next to a half-integer, one off, which the wrap below fixes.
-        k = ctx.nint(theta / two_pi)
-    else:
-        # Working precision no longer pins down k.  theta is exact binary
-        # data, so divide at a precision that covers its integer part too.
-        hp = exp + bc + prec + 10
-        pi2 = libmp.mpf_shift(libmp.mpf_pi(hp), 1)
-        k = libmp.to_int(libmp.mpf_div(theta._mpf_, pi2, hp, "n"), "n")
-    if k:
-        # Subtract k*2pi with pi carried at extra precision so the reduced
-        # angle keeps full absolute accuracy even for large |theta|.
-        extra = max(0, abs(k).bit_length()) + 10
-        pi2 = libmp.mpf_shift(libmp.mpf_pi(prec + extra), 1)
-        prod = libmp.mpf_mul_int(pi2, k, prec + extra, "n")
-        t = mp.make_mpf(libmp.mpf_sub(theta._mpf_, prod, prec, "n"))
-    else:
-        t = theta
-    if t > pi:
-        t = t - two_pi
-    if t < -pi:
-        t = t + two_pi
-    if t < 0:
-        return -1, -t
-    return 1, t
-
-
-def _cl2_series(t, ctx: PrecisionCtx):
-    """The defining expansion on [0, 2pi/3], summed in fixed point."""
-    if t == 0:
-        return ctx._mp.mpf(0)
-    prec = ctx.prec_work
+def _cl2_series(t, prec: int, near_pi: bool):
+    """Cl2(t) for t in (0, 2pi/3], or Cl2(pi - t) for t in (0, pi/3) when
+    ``near_pi``, on the raw mpf t, summed in fixed point (module doc)."""
     fixed = prec + 20
     pi = libmp.pi_fixed(fixed)
-    tf = libmp.to_fixed(t._mpf_, fixed)
-    x = (tf * tf << fixed) // (4 * pi * pi)          # X = (t/2pi)^2
-    # Stop once a term is below 2^-(prec+4); the rest sum to less than 1/8 of it.
+    tf = libmp.to_fixed(t, fixed)
+    # X = (t/2pi)^2, or 4X near pi, where term k is d_k ((4X)^k - X^k): X^k
+    # comes from (4X)^k by a shift, since a power of X carried on its own
+    # would lose bits that the weight 4^k then magnifies.
+    x = (tf * tf << fixed) // (pi * pi if near_pi else 4 * pi * pi)
+    # Stop once a term is below 2^-(prec+4); each term is below 1/7 of the one
+    # before, so the rest sum to less than 1/6 of it.
     stop = 1 << (fixed - prec - 4)
     table = _CL2_TABLE.get(fixed, ())
     power = x
@@ -156,32 +132,48 @@ def _cl2_series(t, ctx: PrecisionCtx):
     while True:
         if k == len(table):
             table = _cl2_table(fixed, k + 16)
-        term = table[k] * power >> fixed
+        term = table[k] * (power - (power >> 2 * k + 2) if near_pi else power) >> fixed
         total += term
         if term < stop:
             break
         power = power * x >> fixed
         k += 1
-    # Cl2(t) = t (1 - log t + total); 1 - log t >= 1 - log(2pi/3) > 1/4.
-    u = libmp.mpf_sub(libmp.from_man_exp(total + (1 << fixed), -fixed),
-                      libmp.mpf_log(t._mpf_, fixed, "n"), fixed, "n")
-    return ctx._mp.make_mpf(libmp.mpf_mul(t._mpf_, u, prec, "n"))
+    if near_pi:
+        # Cl2(pi - t) = t (log 2 - total); the factor lies in [0.64, log 2].
+        u = libmp.from_man_exp(libmp.ln2_fixed(fixed) - total, -fixed)
+    else:
+        # Cl2(t) = t (1 - log t + total); 1 - log t >= 1 - log(2pi/3) > 1/4.
+        u = libmp.mpf_sub(libmp.from_man_exp(total + (1 << fixed), -fixed),
+                          libmp.mpf_log(t, fixed, "n"), fixed, "n")
+    return libmp.mpf_mul(t, u, prec, "n")
 
 
 def _cl2(theta, ctx: PrecisionCtx):
-    """:func:`cl2` unrounded, at working precision: sums of it round once."""
+    """:func:`cl2` unrounded, at working precision: sums of it round once.
+
+    Reduces |theta| with ``mod_pi2`` and sums the expansion about 0 up to
+    2pi/3 and the one about pi beyond it (module doc).
+    """
     theta = theta if isinstance(theta, ctx._mp.mpf) else ctx.mpf(theta)
     if not ctx.isfinite(theta):
         raise DomainError("cl2 requires a finite angle")
-    pi = ctx.pi
-    sign, t = _reduce_to_0_pi(theta, ctx, pi)
-    if t <= 2 * pi / 3:
-        value = _cl2_series(t, ctx)
-    else:
-        # Duplication: Cl2(t) = Cl2(pi - t) - Cl2(2pi - 2t)/2, both arguments
-        # now in [0, 2pi/3).
-        value = _cl2_series(pi - t, ctx) - _cl2_series(2 * (pi - t), ctx) / 2
-    return sign * value
+    sign, man, exp, bc = theta._mpf_
+    if not man:
+        return ctx._mp.mpf(0)
+    prec = ctx.prec_work
+    # |theta| = n pi/2 + r on integers scaled by 2^wp.  mod_pi2 raises wp until
+    # the distance from |theta| to the nearest multiple of pi/2 keeps prec
+    # significant bits, so neither t nor pi - t below loses one.
+    r, n, wp = libelefun.mod_pi2(man, exp, exp + bc, prec + 10)
+    pi = libmp.pi_fixed(wp)
+    t = r + (pi >> 1 if n & 1 else 0)               # |theta| = h pi + t, h = n // 2
+    if n & 2:
+        t = pi - t                                  # Cl2(h pi + t) = -Cl2(pi - t), h odd
+    near_pi = 3 * t > 2 * pi
+    value = _cl2_series(libmp.from_man_exp(pi - t if near_pi else t, -wp), prec, near_pi)
+    if sign ^ (n >> 1 & 1):
+        value = libmp.mpf_neg(value)
+    return ctx._mp.make_mpf(value)
 
 
 def cl2(theta, ctx: PrecisionCtx):
@@ -201,11 +193,13 @@ def cl2_series_reference(theta, ctx: PrecisionCtx, terms: int = 256):
     own error control.  Intended as a cross-check oracle for :func:`cl2`.
     """
     theta = theta if isinstance(theta, ctx._mp.mpf) else ctx.mpf(theta)
+    if theta == 0:
+        return round_out(ctx.mpf(0), ctx)
+    # Every term is 2pi-periodic, so the sum runs at theta itself; hi carries
+    # 10 digits more than theta, so (M+1) theta in the tail stays exact.
     hi = get_ctx(ctx.digits + 10, ctx.guard_digits)
     mp = hi._mp
-    sign, t = _reduce_to_0_pi(hi.mpf(theta), hi)
-    if t == 0:
-        return round_out(ctx.mpf(0), ctx)
+    t = hi.mpf(theta)
 
     M = max(8, terms)
     cos_t = hi.cos(t)
@@ -220,7 +214,7 @@ def cl2_series_reference(theta, ctx: PrecisionCtx, terms: int = 256):
 
     tol = hi.pow10(-(ctx.digits + 5))
     tail = quad.integrate(_cl2_tail_integrand(t, cos_t, sin_t, M, hi), (0, hi.inf), tol, hi)
-    return round_out(ctx.mpf(sign * (partial + tail.value)), ctx)
+    return round_out(ctx.mpf(partial + tail.value), ctx)
 
 
 def _cl2_tail_integrand(t, cos_t, sin_t, M, hi: PrecisionCtx):

@@ -20,15 +20,15 @@ pytestmark = pytest.mark.skipif(
 
 GOLDEN = [
     ("verify --suite all --samples 20 --seed 42 --digits 60 --json",
-     "b816e7d19f968ca133953a9f09686dbda0a2130b0a7f42e0edbb232e0a3add30"),
+     "951ce9449bc2eadd7de7439b9de3b62dcd481de9358c8c5534a629707be82b91"),
     ("pslq --builtin conj14 --digits 200 --json",
-     "0467b21d069aab1ad4d6c5e43b32fe6a75a6c6811bdf5192941956c7685d527b"),
+     "ffaa629f9874cd1e70489c71e016288da14def297ddf281fd42df9830bf56ba9"),
     ("pslq --builtin r19 --a 1/pi --b 1/e --digits 200 --json",
-     "ac545d3cb77883b165393e1ac690a617f98c01cf69631a1a2028b46055c2c020"),
+     "d885995f28a3e6a358eb7c5d614b6db2fbff16b233faf148d3ef269b662639cf"),
     ("feynman --a 1 --b 1 --digits 50 --json",
-     "0c51a9bd845b904128b7a4a445fd73735825e7ec6770ec93dbf4254443a719f9"),
+     "b8978acf023d73c1589afa5c4ecf3fa89dd09297434edd46eda39345f7842d54"),
     ("feynman --a 0.7 --b 1.1 --method all --digits 100 --json",
-     "6dce954045053f0e4a403cbb61709cbea560e2a631245eddca3365e164045d52"),
+     "f15fa9e44f1f5cd7da44841a7c070ab5fb4194b320c35d9874be2b27874b3771"),
 ]
 
 

@@ -96,36 +96,65 @@ class TestCl2:
                              ids=["1e65", "-1e65", "1e200"])
     def test_huge_angle(self, ctx50, big):
         theta = ctx50.mpf(big)
-        # Oracle: theta is exact binary data; reduce it mod 2pi at a precision
-        # covering its integer part, then mpmath's clsin at digits+20.
-        _, _, exp, bc = theta._mpf_
-        ref_mp = MPContext()
-        ref_mp.prec = exp + bc + 400
-        exact = ref_mp.make_mpf(theta._mpf_)
-        reduced = exact - 2 * ref_mp.pi * ref_mp.nint(exact / (2 * ref_mp.pi))
-        ref_mp.dps = ctx50.digits + 20
-        ref = ref_mp.clsin(2, +reduced)
+        ref = clsin_reduced(theta, ctx50.digits + 20)
         assert abs(cl2(theta, ctx50) - ref) <= ctx50.pow10(-ctx50.digits) * (1 + abs(ref))
 
+    @pytest.mark.parametrize("num,den", [(-5, 2), (16, 3), (-(7 * 10 ** 8 + 2), 7),
+                                         (3 * 10 ** 20 + 1, 3)],
+                             ids=["-2.5", "5+1/3", "-(1e8+2/7)", "1e20+1/3"])
+    def test_series_reference_outside_one_period(self, ctx50, num, den):
+        theta = ctx50.mpf(Fraction(num, den))
+        ref = clsin_reduced(theta, ctx50.digits + 20)
+        bound = ctx50.pow10(-ctx50.digits) * abs(ref)
+        assert abs(cl2_series_reference(theta, ctx50) - ref) <= bound
 
-@pytest.mark.parametrize("digits", [15, 20, 50, 100, 300])
-def test_cl2_accuracy_against_clsin(digits):
-    # Seeded angles plus the edges of the series: near 0, both sides of the
-    # 2pi/3 duplication switch, just below pi, and a few periods out.
-    ctx = PrecisionCtx(digits)
-    rng = random.Random(1000 + digits)
-    pi = ctx.pi
-    angles = [ctx.mpf(rng.uniform(-20, 20)) for _ in range(6)]
-    for k in sorted({1, 4, digits // 2, digits - 2, rng.randint(2, digits)}):
-        eps = ctx.pow10(-k)
-        angles += [eps, 2 * pi / 3 + eps, 2 * pi / 3 - eps, pi - eps,
-                   14 * pi + eps, 14 * pi - eps]
+
+def clsin_reduced(theta, dps):
+    """mpmath's clsin at ``dps`` of theta reduced mod 2pi exactly: theta is
+    exact binary data, reduced at a precision covering its integer part."""
+    _, _, exp, bc = theta._mpf_
     ref_mp = MPContext()
-    ref_mp.dps = digits + 20
+    ref_mp.prec = exp + bc + 400
+    exact = ref_mp.make_mpf(theta._mpf_)
+    reduced = exact - 2 * ref_mp.pi * ref_mp.nint(exact / (2 * ref_mp.pi))
+    ref_mp.dps = dps
+    return ref_mp.clsin(2, +reduced)
+
+
+@pytest.mark.parametrize("digits", [15, 20, 50, 100, 300, 1000])
+def test_cl2_accuracy_against_clsin(digits):
+    # Accuracy relative to the value, so near the zeros 0 and k pi too:
+    # seeded angles, both sides of the 2pi/3 switch to the series about pi,
+    # and offsets 10^-j from 0, just below pi, both sides of 14pi, and both
+    # sides of -pi and 3pi at the deepest offset.  A reference at digits+20
+    # resolves a value of about 10^-j only for small j; from j = 10 on it
+    # runs at about twice the digits.  clsin is slow near odd multiples of
+    # pi (0.8 s each at 640 digits, 14 s at 1080), so -pi and 3pi get one
+    # offset, and at 1000 digits only 2pi is tried.
+    ctx = PrecisionCtx(digits)
+    pi = ctx.pi
+    far, near = [], []
+    if digits == 1000:
+        near = [2 * pi + ctx.pow10(-30), 2 * pi - ctx.pow10(-30)]
+        near_dps = digits + 80
+    else:
+        rng = random.Random(1000 + digits)
+        far = [ctx.mpf(rng.uniform(-20, 20)) for _ in range(6)]
+        for j in sorted({1, 4, digits // 2, digits - 2, rng.randint(2, digits), digits + 10}):
+            eps = ctx.pow10(-j)
+            far += [2 * pi / 3 + eps, 2 * pi / 3 - eps]
+            (far if j < 10 else near).extend([eps, pi - eps, 14 * pi + eps, 14 * pi - eps])
+        # At the deepest offset -pi + eps is -(pi - eps), which the loop has.
+        eps = ctx.pow10(-digits - 10)
+        near += [-pi - eps, 3 * pi + eps, 3 * pi - eps]
+        near_dps = 2 * digits + 40
+    ref_mp = MPContext()
     bound = ctx.pow10(-digits)
-    for theta in angles:
-        ref = ref_mp.clsin(2, ref_mp.make_mpf(theta._mpf_))
-        assert abs(cl2(theta, ctx) - ref) <= bound * (1 + abs(ref)), to_decimal(theta, ctx)
+    for angles, dps in ((far, digits + 20), (near, near_dps)):
+        ref_mp.dps = dps
+        for theta in angles:
+            ref = ref_mp.clsin(2, ref_mp.make_mpf(theta._mpf_))
+            assert abs(cl2(theta, ctx) - ref) <= bound * abs(ref), to_decimal(theta, ctx)
 
 
 class TestLi2:
