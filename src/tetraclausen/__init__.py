@@ -3,29 +3,20 @@
 Evaluates C(a,b) by three independent routes (closed Clausen form, direct
 double-exponential quadrature, and the full stepwise reduction), verifies a
 catalog of Clausen-function and dilogarithm identities numerically at
-configurable precision, and rediscovered the catalog's integer relations
+configurable precision, and rediscovers the catalog's integer relations
 with a PSLQ engine.
 """
 
 from .mpcore import (
     DomainError,
     PrecisionCtx,
-    const,
-    elementary,
     from_decimal,
     get_ctx,
     round_out,
     to_decimal,
 )
 from .quad import QuadratureError, QuadratureResult, integrate
-from .polylog import (
-    LogTrigClosedForm,
-    cl2,
-    cl2_series_reference,
-    li2,
-    log_sin_product_integral,
-    log_tan_integral,
-)
+from .polylog import cl2, cl2_series_reference, li2
 from .feynman import (
     DerivedAngles,
     MassPair,
@@ -51,11 +42,10 @@ from .identities import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError", "PrecisionCtx", "const", "elementary", "from_decimal",
-    "get_ctx", "round_out", "to_decimal",
+    "DomainError", "PrecisionCtx", "from_decimal", "get_ctx", "round_out",
+    "to_decimal",
     "QuadratureError", "QuadratureResult", "integrate",
-    "LogTrigClosedForm", "cl2", "cl2_series_reference", "li2",
-    "log_sin_product_integral", "log_tan_integral",
+    "cl2", "cl2_series_reference", "li2",
     "DerivedAngles", "MassPair", "RouteMismatchError",
     "StepReport", "c_closed", "c_direct", "derive", "stepwise",
     "InsufficientPrecision", "RelationResult", "check_relation", "find_relation",

@@ -322,11 +322,19 @@ def relation_residual(values: dict, combo) -> object:
 # ---------------------------------------------------------------------------
 
 # Each reduced integral is its prefactor (1/(4c) for I1, 1/(2c) for I2,
-# 1/(2d) for I3 and I4) times an integer combination of q or r values.  I4
-# comes from applying the log(tan x - tan delta) closed form to the five
-# linear factors of its integrand with weights +2,+1,+1,-1,-1 for delta7,
-# delta8 = alpha6, delta9, delta10, delta11; the pure-log parts cancel
-# identically and the 2alpha6-2delta8 term is Cl2(0) = 0.
+# 1/(2d) for I3 and I4) times an integer combination of q or r values.  The
+# tables come from the paper's two log-trigonometric lemmas.  Lemma 1: with
+# a cos x + b sin x + c = 2R sin((d2-x)/2) sin((d1+x)/2) and R^2 = a^2+b^2,
+#     int_alpha^beta log(a cos x + b sin x + c) dx = (beta-alpha) log(R/2)
+#         + Cl2(d2-beta) - Cl2(d2-alpha) + Cl2(d1+alpha) - Cl2(d1+beta).
+# Lemma 2: for -pi/2 < delta <= alpha <= beta < pi/2,
+#     int_alpha^beta log(tan x - tan delta) dx = (Cl2(2alpha-2delta)
+#         - Cl2(2beta-2delta) + Cl2(pi-2alpha) - Cl2(pi-2beta))/2
+#         - (beta-alpha) log(cos delta).
+# I4 applies lemma 2 to the five linear factors of its integrand with
+# weights +2,+1,+1,-1,-1 for delta7, delta8 = alpha6, delta9, delta10,
+# delta11; the pure-log parts cancel identically and the 2alpha6-2delta8
+# term is Cl2(0) = 0.
 I_CLOSED = (
     ("I1", (("q1", -1), ("q2", 1), ("q3", 2))),
     ("I2", (("q4", -1), ("q5", 1), ("q6", -1), ("q7", -1), ("q8", 1), ("q9", -1),

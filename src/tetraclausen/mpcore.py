@@ -25,20 +25,10 @@ __all__ = [
     "DomainError",
     "PrecisionCtx",
     "get_ctx",
-    "const",
-    "elementary",
     "round_out",
     "to_decimal",
     "from_decimal",
 ]
-
-CONSTANT_NAMES = ("pi", "log2", "catalan")
-
-ELEMENTARY_NAMES = (
-    "exp", "log", "sqrt", "sin", "cos", "tan",
-    "atan", "atan2", "asin", "acos", "atanh",
-)
-
 
 class DomainError(ValueError):
     """An input lies outside a function's domain, or a result is non-finite."""
@@ -102,7 +92,7 @@ class PrecisionCtx:
     def isfinite(self, x) -> bool:
         return bool(self._mp.isfinite(x))
 
-    # -- constants (working precision; see const() for rounded output) --------
+    # -- constants (working precision) ----------------------------------------
 
     @property
     def pi(self):
@@ -111,10 +101,6 @@ class PrecisionCtx:
     @property
     def ln2(self):
         return +self._mp.ln2
-
-    @property
-    def catalan(self):
-        return +self._mp.catalan
 
     @property
     def inf(self):
@@ -156,25 +142,10 @@ class PrecisionCtx:
     def atan(self, x):
         return self._finite(self._mp.atan(x))
 
-    def atan2(self, y, x):
-        if x == 0 and y == 0:
-            raise DomainError("atan2(0, 0) is undefined")
-        return self._finite(self._mp.atan2(y, x))
-
     def asin(self, x):
         if isinstance(x, self._mp.mpf) and abs(x) > 1:
             raise DomainError("asin requires |x| <= 1, got %s" % x)
         return self._finite(self._mp.asin(x))
-
-    def acos(self, x):
-        if isinstance(x, self._mp.mpf) and abs(x) > 1:
-            raise DomainError("acos requires |x| <= 1, got %s" % x)
-        return self._finite(self._mp.acos(x))
-
-    def atanh(self, x):
-        if isinstance(x, self._mp.mpf) and abs(x) >= 1:
-            raise DomainError("atanh requires |x| < 1, got %s" % x)
-        return self._finite(self._mp.atanh(x))
 
     def nint(self, x) -> int:
         """Nearest integer as a Python int."""
@@ -201,35 +172,6 @@ def round_out(x, ctx: PrecisionCtx):
     if not isinstance(x, mp.mpf):
         x = ctx.mpf(x)
     return mp.make_mpf(libmp.mpf_pos(x._mpf_, ctx.prec_out, "n"))
-
-
-def const(name: str, ctx: PrecisionCtx):
-    """Named constant, rounded to the context's delivered precision.
-
-    Supported names: ``pi``, ``log2``, ``catalan``.
-    """
-    if name == "pi":
-        return round_out(ctx.pi, ctx)
-    if name == "log2":
-        return round_out(ctx.ln2, ctx)
-    if name == "catalan":
-        return round_out(ctx.catalan, ctx)
-    raise ValueError("unknown constant %r (supported: %s)" % (name, ", ".join(CONSTANT_NAMES)))
-
-
-def elementary(fn: str, *args, ctx: PrecisionCtx):
-    """Apply a named elementary function and round the result to ``digits``.
-
-    ``fn`` is one of ``exp, log, sqrt, sin, cos, tan, atan, atan2, asin,
-    acos, atanh``; ``atan2`` takes two arguments, the rest one.  Domain
-    violations raise :class:`DomainError` instead of returning non-finite
-    values.
-    """
-    if fn not in ELEMENTARY_NAMES:
-        raise ValueError("unknown function %r (supported: %s)" % (fn, ", ".join(ELEMENTARY_NAMES)))
-    method = getattr(ctx, fn)
-    converted = tuple(a if isinstance(a, (ctx._mp.mpf, ctx._mp.mpc)) else ctx.mpf(a) for a in args)
-    return round_out(method(*converted), ctx)
 
 
 def to_decimal(x, ctx: PrecisionCtx) -> str:

@@ -1,4 +1,4 @@
-"""Clausen function, dilogarithm, and closed-form log-trigonometric integrals.
+"""Clausen function and dilogarithm.
 
 The Clausen function is evaluated from the integrated cotangent expansion
 
@@ -56,7 +56,6 @@ the first below 2^-(prec+4) in both parts leaves a tail under 1/16 of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -71,9 +70,6 @@ __all__ = [
     "cl2",
     "cl2_series_reference",
     "li2",
-    "LogTrigClosedForm",
-    "log_sin_product_integral",
-    "log_tan_integral",
     "bernoulli_over_factorial",
 ]
 
@@ -334,121 +330,3 @@ def li2(z, ctx: PrecisionCtx):
     Im Li2(z) = -pi*log(z).  Rounded to ``digits``.
     """
     return round_out(_li2(z, ctx), ctx)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form log-trigonometric integrals.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LogTrigClosedForm:
-    """Value of int_alpha^beta log(a cos x + b sin x + c) dx with the two
-    auxiliary angles that factor the integrand as
-    2 sqrt(a^2+b^2) sin((delta2-x)/2) sin((delta1+x)/2)."""
-
-    value: object
-    delta1: object
-    delta2: object
-
-
-def _lemma1_deltas(a, b, c, ctx: PrecisionCtx):
-    """Auxiliary angles so a cos x + b sin x + c = 2R sin((d2-x)/2) sin((d1+x)/2).
-
-    Writing the left side as R cos(x - psi) + c, the factorization forces
-    (d2 - d1)/2 = psi and cos((d1+d2)/2) = -c/R, so d1 = S - psi and
-    d2 = S + psi with S = arccos(-c/R).  This construction is branch-safe
-    where the direct arctan formulas are not; the invariant is asserted.
-    """
-    mp = ctx._mp
-    r2 = a * a + b * b
-    if r2 == 0:
-        raise DomainError("a and b may not both vanish")
-    if r2 - c * c <= -ctx.pow10(-ctx.digits) * r2:
-        raise DomainError("hypothesis a^2 + b^2 >= c^2 violated")
-    big_r = ctx.sqrt(r2)
-    arg = -c / big_r
-    if arg > 1:
-        arg = mp.mpf(1)
-    elif arg < -1:
-        arg = mp.mpf(-1)
-    big_s = ctx.acos(arg)
-    psi = ctx.atan2(b, a)
-    return big_s - psi, big_s + psi, big_r
-
-
-def _assert_factorization(a, b, c, d1, d2, big_r, alpha, beta, ctx: PrecisionCtx):
-    tol = ctx.pow10(-ctx.digits + 5) * (1 + big_r)
-    for frac in (0.19, 0.55, 0.83):
-        x = alpha + (beta - alpha) * ctx.mpf(frac) if beta != alpha else alpha + ctx.mpf(frac)
-        lhs = a * ctx.cos(x) + b * ctx.sin(x) + c
-        rhs = 2 * big_r * ctx.sin((d2 - x) / 2) * ctx.sin((d1 + x) / 2)
-        if abs(lhs - rhs) > tol:
-            raise DomainError("internal angle-factorization check failed")
-
-
-def log_sin_product_integral(alpha, beta, a, b, c, ctx: PrecisionCtx) -> LogTrigClosedForm:
-    """Closed form of int_alpha^beta log(a cos x + b sin x + c) dx.
-
-    Requires a^2 + b^2 >= c^2 and a nonnegative integrand argument on
-    [alpha, beta] (it may touch zero at the endpoints; the integral is then
-    improper but convergent).  The value is
-
-        (beta-alpha) log(sqrt(a^2+b^2)/2)
-        + Cl2(d2-beta) - Cl2(d2-alpha) + Cl2(d1+alpha) - Cl2(d1+beta).
-    """
-    mp = ctx._mp
-    alpha, beta = ctx.mpf(alpha), ctx.mpf(beta)
-    a, b, c = ctx.mpf(a), ctx.mpf(b), ctx.mpf(c)
-    if beta < alpha:
-        raise DomainError("interval must satisfy alpha <= beta")
-    d1, d2, big_r = _lemma1_deltas(a, b, c, ctx)
-    _assert_factorization(a, b, c, d1, d2, big_r, alpha, beta, ctx)
-    if beta == alpha:
-        return LogTrigClosedForm(round_out(mp.mpf(0), ctx), round_out(d1, ctx), round_out(d2, ctx))
-
-    # Sign check: sample endpoints and any interior extremum of
-    # R cos(x - psi) + c (extrema at x = psi mod pi).
-    psi = (d2 - d1) / 2
-    neg_tol = ctx.pow10(-ctx.digits + 5) * (1 + big_r)
-    probes = [alpha, beta]
-    k_lo = int(math.floor(float((alpha - psi) / ctx.pi))) - 1
-    k_hi = int(math.ceil(float((beta - psi) / ctx.pi))) + 1
-    for k in range(k_lo, k_hi + 1):
-        x = psi + k * ctx.pi
-        if alpha < x < beta:
-            probes.append(x)
-    for x in probes:
-        if a * ctx.cos(x) + b * ctx.sin(x) + c < -neg_tol:
-            raise DomainError("integrand argument is negative on the interval")
-
-    value = (beta - alpha) * ctx.log(big_r / 2)
-    value += _cl2(d2 - beta, ctx) - _cl2(d2 - alpha, ctx)
-    value += _cl2(d1 + alpha, ctx) - _cl2(d1 + beta, ctx)
-    return LogTrigClosedForm(round_out(value, ctx), round_out(d1, ctx), round_out(d2, ctx))
-
-
-def log_tan_integral(alpha, beta, delta, ctx: PrecisionCtx):
-    """Closed form of int_alpha^beta log(tan x - tan delta) dx.
-
-    Valid for -pi/2 < delta <= alpha <= beta < pi/2 (so the integrand
-    argument is positive inside the interval, possibly vanishing at the
-    left endpoint):
-
-        (Cl2(2a-2d) - Cl2(2b-2d) + Cl2(pi-2a) - Cl2(pi-2b))/2
-        - (beta-alpha) log(cos(delta)).
-    """
-    alpha, beta, delta = ctx.mpf(alpha), ctx.mpf(beta), ctx.mpf(delta)
-    half_pi = ctx.pi / 2
-    for name, ang in (("alpha", alpha), ("beta", beta), ("delta", delta)):
-        if not (-half_pi < ang < half_pi):
-            raise DomainError("%s must lie in (-pi/2, pi/2)" % name)
-    if beta < alpha:
-        raise DomainError("interval must satisfy alpha <= beta")
-    if delta > alpha:
-        raise DomainError("positivity requires delta <= alpha")
-    if beta == alpha:
-        return round_out(ctx._mp.mpf(0), ctx)
-    value = (_cl2(2 * alpha - 2 * delta, ctx) - _cl2(2 * beta - 2 * delta, ctx)
-             + _cl2(ctx.pi - 2 * alpha, ctx) - _cl2(ctx.pi - 2 * beta, ctx)) / 2
-    value -= (beta - alpha) * ctx.log(ctx.cos(delta))
-    return round_out(value, ctx)

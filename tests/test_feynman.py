@@ -296,7 +296,7 @@ class TestQuadratureEstimates:
         got = feynman._tail_panel_integrand(a, b, ctx)(v)[0]
         w = hi.mpf(v) + 2 + hi.mpf(b)
         root = hi.sqrt(w * w + hi.mpf(b) ** 2 - 4)
-        want = hi.atanh(hi.mpf(b) / root) / (w * root)
+        want = hi._mp.atanh(hi.mpf(b) / root) / (w * root)
         assert abs(got - want) <= abs(want) * ctx._mp.mpf(2) ** (-ctx.prec_work + 4)
 
 

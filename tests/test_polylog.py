@@ -10,10 +10,7 @@ from tetraclausen.polylog import (
     cl2,
     cl2_series_reference,
     li2,
-    log_sin_product_integral,
-    log_tan_integral,
 )
-from tetraclausen.quad import integrate
 from oracles import catalan_alternating, li2_brute
 from fractions import Fraction
 
@@ -263,121 +260,3 @@ _ctx = PrecisionCtx(30)
 def test_cl2_oddness_property(theta):
     t = _ctx.mpf(theta)
     assert cl2(-t, _ctx) == -cl2(t, _ctx)
-
-
-class TestLogSinProductIntegral:
-    def test_empty_interval(self, ctx50):
-        form = log_sin_product_integral(1, 1, 2, 1, ctx50.mpf("0.5"), ctx50)
-        assert form.value == 0
-
-    def test_log_cos_quarter_period(self, ctx50):
-        # a=1, b=0, c=0 on [0, pi/2] is the classical -pi/2 log 2
-        form = log_sin_product_integral(0, ctx50.pi / 2, 1, 0, 0, ctx50)
-        assert abs(form.value + ctx50.pi / 2 * ctx50.ln2) < ctx50.pow10(-45)
-        oracle = integrate(lambda x: ctx50.log(ctx50.cos(x)), (0, ctx50.pi / 2),
-                           ctx50.pow10(-40), ctx50)
-        assert abs(form.value - oracle.value) < ctx50.pow10(-39)
-
-    def _random_case(self, rng, ctx):
-        while True:
-            a = ctx.mpf(rng.uniform(-2, 2))
-            b = ctx.mpf(rng.uniform(-2, 2))
-            r2 = a * a + b * b
-            if r2 < ctx.mpf("0.01"):
-                continue
-            c = ctx.mpf(rng.uniform(-0.9, 0.9)) * ctx.sqrt(r2)
-            psi = ctx.atan2(b, a)
-            s = ctx.acos(-c / ctx.sqrt(r2))
-            span = 2 * s
-            lo = psi - s + ctx.mpf(rng.uniform(0.05, 0.4)) * span
-            hi = psi + s - ctx.mpf(rng.uniform(0.05, 0.4)) * span
-            if hi > lo:
-                return a, b, c, lo, hi
-
-    def test_random_cases_match_quadrature(self, ctx50):
-        rng = random.Random(13)
-        for _ in range(6):
-            a, b, c, lo, hi = self._random_case(rng, ctx50)
-            form = log_sin_product_integral(lo, hi, a, b, c, ctx50)
-            oracle = integrate(
-                lambda x: ctx50.log(a * ctx50.cos(x) + b * ctx50.sin(x) + c),
-                (lo, hi), ctx50.pow10(-42), ctx50)
-            assert abs(form.value - oracle.value) < ctx50.pow10(-40)
-
-    def test_factorization_invariant(self, ctx50):
-        rng = random.Random(3)
-        for _ in range(10):
-            a, b, c, lo, hi = self._random_case(rng, ctx50)
-            form = log_sin_product_integral(lo, hi, a, b, c, ctx50)
-            r = ctx50.sqrt(a * a + b * b)
-            for frac in (0.13, 0.5, 0.92):
-                x = lo + (hi - lo) * ctx50.mpf(frac)
-                lhs = a * ctx50.cos(x) + b * ctx50.sin(x) + c
-                rhs = 2 * r * ctx50.sin((form.delta2 - x) / 2) * ctx50.sin((form.delta1 + x) / 2)
-                assert abs(lhs - rhs) < ctx50.pow10(-45)
-
-    def test_degenerate_hypothesis_boundary(self, ctx50):
-        # a^2+b^2 = c^2 is allowed (root term exactly zero)
-        form = log_sin_product_integral(ctx50.mpf("0.2"), ctx50.mpf("0.9"),
-                                        1, 0, 1, ctx50)
-        oracle = integrate(lambda x: ctx50.log(ctx50.cos(x) + 1),
-                           (ctx50.mpf("0.2"), ctx50.mpf("0.9")),
-                           ctx50.pow10(-42), ctx50)
-        assert abs(form.value - oracle.value) < ctx50.pow10(-40)
-
-    def test_hypothesis_violation(self, ctx50):
-        with pytest.raises(DomainError):
-            log_sin_product_integral(0, 1, 1, 0, 2, ctx50)
-
-    def test_negative_integrand_detected(self, ctx50):
-        # cos(x) - 0.5 is negative on part of [0, pi]
-        with pytest.raises(DomainError):
-            log_sin_product_integral(0, ctx50.pi, 1, 0, ctx50.mpf("-0.5"), ctx50)
-
-
-class TestLogTanIntegral:
-    def test_empty_interval(self, ctx50):
-        assert log_tan_integral(ctx50.mpf("0.3"), ctx50.mpf("0.3"), 0, ctx50) == 0
-
-    def test_log_tan_is_minus_catalan(self, ctx50):
-        v = log_tan_integral(0, ctx50.pi / 4, 0, ctx50)
-        assert abs(v + catalan_alternating(ctx50)) < ctx50.pow10(-45)
-        oracle = integrate(lambda x: ctx50.log(ctx50.tan(x)), (0, ctx50.pi / 4),
-                           ctx50.pow10(-42), ctx50)
-        assert abs(v - oracle.value) < ctx50.pow10(-40)
-
-    def test_random_cases_match_quadrature(self, ctx50):
-        rng = random.Random(17)
-        for _ in range(6):
-            d = ctx50.mpf(rng.uniform(-1.2, 1.2))
-            lo = d + ctx50.mpf(rng.uniform(0.01, 0.3))
-            hi = lo + ctx50.mpf(rng.uniform(0.05, 0.5))
-            if hi >= ctx50.pi / 2 - ctx50.mpf("0.01"):
-                continue
-            v = log_tan_integral(lo, hi, d, ctx50)
-            oracle = integrate(lambda x: ctx50.log(ctx50.tan(x) - ctx50.tan(d)),
-                               (lo, hi), ctx50.pow10(-42), ctx50)
-            assert abs(v - oracle.value) < ctx50.pow10(-40)
-
-    def test_log_split_identity(self, ctx50):
-        # log(tan x - tan d) = log(2 sin(x-d)) - log(2 cos x) - log(cos d)
-        rng = random.Random(29)
-        for _ in range(10):
-            d = ctx50.mpf(rng.uniform(-1.0, 1.0))
-            x = d + ctx50.mpf(rng.uniform(0.05, 0.5))
-            if x >= ctx50.pi / 2:
-                continue
-            lhs = ctx50.log(ctx50.tan(x) - ctx50.tan(d))
-            rhs = ctx50.log(2 * ctx50.sin(x - d)) - ctx50.log(2 * ctx50.cos(x)) \
-                - ctx50.log(ctx50.cos(d))
-            assert abs(lhs - rhs) < ctx50.pow10(-45)
-
-    @pytest.mark.parametrize("lo,hi,d", [
-        (0.5, 0.4, 0.0),        # reversed interval
-        (0.3, 0.6, 0.4),        # delta inside the interval
-        (0.0, 1.6, 0.0),        # beta beyond pi/2
-        (-1.6, 0.5, -1.58),     # alpha beyond -pi/2
-    ])
-    def test_domain_errors(self, ctx50, lo, hi, d):
-        with pytest.raises(DomainError):
-            log_tan_integral(ctx50.mpf(lo), ctx50.mpf(hi), ctx50.mpf(d), ctx50)
