@@ -126,6 +126,7 @@ class PrecisionCtx:
         return self._finite(self._mp.log(x))
 
     def sqrt(self, x):
+        x = self.mpf(x) if isinstance(x, (int, float, Fraction)) else x
         if isinstance(x, self._mp.mpf) and x < 0:
             raise DomainError("sqrt of a negative real, got %s" % x)
         return self._finite(self._mp.sqrt(x))
@@ -143,6 +144,7 @@ class PrecisionCtx:
         return self._finite(self._mp.atan(x))
 
     def asin(self, x):
+        x = self.mpf(x) if isinstance(x, (int, float, Fraction)) else x
         if isinstance(x, self._mp.mpf) and abs(x) > 1:
             raise DomainError("asin requires |x| <= 1, got %s" % x)
         return self._finite(self._mp.asin(x))

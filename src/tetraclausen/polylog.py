@@ -36,7 +36,8 @@ exact Laplace-transform tail
 
 evaluated by quadrature.  Every term is 2pi-periodic, so it sums at theta
 itself, without reduction; it shares nothing with the primary route past
-elementary functions and serves as its cross-check oracle.
+elementary functions and serves as its cross-check oracle.  Its error is
+at most 10^-digits absolute, not relative; too near 2pi k it raises DomainError.
 
 The dilogarithm sums one series on the same table, in w = -log(1-z)
 ('t Hooft & Veltman, Nucl. Phys. B153 (1979) 365): B_2k w^2k/((2k)! (2k+1))
@@ -186,7 +187,8 @@ def cl2_series_reference(theta, ctx: PrecisionCtx, terms: int = 256):
     The first ``terms`` terms are summed directly (stable three-term sine
     recurrence); the remainder is the imaginary part of the Laplace-transform
     integral of the tail, computed by double-exponential quadrature with its
-    own error control.  Intended as a cross-check oracle for :func:`cl2`.
+    own error control.  Intended as a cross-check oracle for :func:`cl2`, to
+    10^-digits absolute; theta too near a multiple of 2pi raises DomainError.
     """
     theta = theta if isinstance(theta, ctx._mp.mpf) else ctx.mpf(theta)
     if theta == 0:
@@ -209,8 +211,20 @@ def cl2_series_reference(theta, ctx: PrecisionCtx, terms: int = 256):
         partial += s_cur / (n * n)
 
     tol = hi.pow10(-(ctx.digits + 5))
-    tail = quad.integrate(_cl2_tail_integrand(t, cos_t, sin_t, M, hi), (0, hi.inf), tol, hi)
+    try:
+        tail = quad.integrate(_cl2_tail_integrand(t, cos_t, sin_t, M, hi), (0, hi.inf), tol, hi)
+    except quad.QuadratureError as exc:
+        raise DomainError("cl2_series_reference: theta = %s is too close to a multiple "
+                          "of 2pi: %s" % (mp.nstr(theta, 8), exc)) from exc
     return round_out(ctx.mpf(partial + tail.value), ctx)
+
+
+@lru_cache(maxsize=1 << 14)
+def _cl2_tail_factors(u, m1: int, prec: int):
+    """e = exp(-u/m1), e e and u exp(-u) of :func:`_cl2_tail_integrand`."""
+    mul, exp, neg_u = libmp.mpf_mul, libmp.mpf_exp, libmp.mpf_neg(u)
+    e = exp(libmp.mpf_div(neg_u, libmp.from_int(m1), prec, "n"), prec, "n")
+    return e, mul(e, e, prec, "n"), mul(u, exp(neg_u, prec, "n"), prec, "n")
 
 
 def _cl2_tail_integrand(t, cos_t, sin_t, M, hi: PrecisionCtx):
@@ -225,7 +239,9 @@ def _cl2_tail_integrand(t, cos_t, sin_t, M, hi: PrecisionCtx):
     ``hi``'s working precision in the association written here:
       e = exp(-u/(M+1)),  num = sin_mt (1 - e cos_t) + cos_mt (e sin_t),
       den = (1 - two_cos e) + e e,  value = ((u exp(-u)) num) / ((den (M+1)) (M+1)),
-    with two_cos = 2 cos_t and mt = (M+1) t.
+    with two_cos = 2 cos_t and mt = (M+1) t.  The angle-free e, e e and u exp(-u)
+    at the quadrature's cached nodes u come from :func:`_cl2_tail_factors`, an
+    ``lru_cache`` of at most 2^14 entries keyed by (raw u, M+1, working bits).
     """
     mp = hi._mp
     prec = hi.prec_work
@@ -233,18 +249,15 @@ def _cl2_tail_integrand(t, cos_t, sin_t, M, hi: PrecisionCtx):
     sin_mt, cos_mt = hi.sin(mt)._mpf_, hi.cos(mt)._mpf_
     cos_r, sin_r, two_cos = cos_t._mpf_, sin_t._mpf_, (2 * cos_t)._mpf_
     mp1 = libmp.from_int(M + 1)
-    mul, add, sub, div, exp, one = (libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub,
-                                    libmp.mpf_div, libmp.mpf_exp, libmp.fone)
+    mul, add, sub, div, one = (libmp.mpf_mul, libmp.mpf_add, libmp.mpf_sub,
+                               libmp.mpf_div, libmp.fone)
 
     def tail_integrand(u):
-        u = u._mpf_
-        neg_u = libmp.mpf_neg(u)
-        e = exp(div(neg_u, mp1, prec, "n"), prec, "n")
+        e, e_sq, u_exp = _cl2_tail_factors(u._mpf_, M + 1, prec)
         num = add(mul(sin_mt, sub(one, mul(e, cos_r, prec, "n"), prec, "n"), prec, "n"),
                   mul(cos_mt, mul(e, sin_r, prec, "n"), prec, "n"), prec, "n")
-        den = add(sub(one, mul(two_cos, e, prec, "n"), prec, "n"),
-                  mul(e, e, prec, "n"), prec, "n")
-        value = div(mul(mul(u, exp(neg_u, prec, "n"), prec, "n"), num, prec, "n"),
+        den = add(sub(one, mul(two_cos, e, prec, "n"), prec, "n"), e_sq, prec, "n")
+        value = div(mul(u_exp, num, prec, "n"),
                     mul(mul(den, mp1, prec, "n"), mp1, prec, "n"), prec, "n")
         return mp.make_mpf(value)
 

@@ -301,7 +301,7 @@ def integrate(f, domain, tol, ctx: PrecisionCtx):
         except QuadratureError:
             raise
         except (ArithmeticError, ValueError) as exc:
-            raise QuadratureError("integrand evaluation failed: %s" % exc) from exc
+            raise QuadratureError("integrand evaluation failed: %r" % exc) from exc
         return None if sums is None else [node_mpf(s) for s in sums]
 
     eps, u_out = mp.mpf(2) ** (-prec + 4), mp.mpf(2) ** -ctx.prec_out

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from tetraclausen.mpcore import (
     DomainError,
     PrecisionCtx,
     from_decimal,
+    get_ctx,
     round_out,
     to_decimal,
 )
@@ -63,6 +66,19 @@ class TestElementary:
     def test_domain_violations_are_reported(self, ctx50, fn, arg):
         with pytest.raises(DomainError):
             getattr(ctx50, fn)(ctx50.mpf(arg))
+
+    @pytest.mark.parametrize("fn,arg", [("sqrt", -1), ("sqrt", -1.0), ("sqrt", Fraction(-1, 2)),
+                                        ("asin", 2), ("asin", 2.0), ("asin", -2),
+                                        ("asin", Fraction(3, 2))])
+    def test_python_reals_outside_domain_are_reported(self, fn, arg):
+        with pytest.raises(DomainError):
+            getattr(get_ctx(20), fn)(arg)
+
+    def test_python_reals_inside_domain_match_mpf(self):
+        ctx = get_ctx(20)
+        for fn, arg in (("sqrt", 2), ("sqrt", 0.5), ("asin", Fraction(1, 3)), ("asin", -1)):
+            got, want = getattr(ctx, fn)(arg), getattr(ctx, fn)(ctx.mpf(arg))
+            assert got._mpf_ == want._mpf_, (fn, arg)
 
 
 _ctx = PrecisionCtx(50)

@@ -81,6 +81,26 @@ def test_cl2_oracle_tail_matches_reference(digits):
         assert raw(got) == raw(ref.integrate(slow, (0, hi.inf), tol, hi))
 
 
+def test_cl2_oracle_tail_factor_cache():
+    # The cached factors depend on u, M and the precision: one raw u, exact at
+    # both precisions, evaluated twice at M = 64 and 256 at 20 then 50 digits,
+    # must give the reference's bits on every call, cache hits included.
+    polylog._cl2_tail_factors.cache_clear()
+    low = get_ctx(20, 10)
+    us = [low.mpf(u)._mpf_ for u in ("1e-30", "0.001", "0.37", "2.5", "40")]
+    for digits in (20, 50):
+        hi = get_ctx(digits, 10)
+        t = hi.mpf("1.3")
+        for M in (64, 256):
+            args = (t, hi.cos(t), hi.sin(t), M, hi)
+            fast, slow = polylog._cl2_tail_integrand(*args), ref.cl2_tail_integrand(*args)
+            for u in map(hi._mp.make_mpf, us):
+                want = slow(u)._mpf_
+                assert fast(u)._mpf_ == want, (digits, M, u)
+                assert fast(u)._mpf_ == want, (digits, M, u)
+    assert polylog._cl2_tail_factors.cache_info().hits >= 4 * len(us)
+
+
 def li2_arguments(ctx, rng, count):
     """Seeded arguments on every li2 branch: real z in (-4, 1) and on the cut
     (1, 5), complex z with |z| < 5, complex z with |1 - z| <= 1/2, |z| = 10^-k

@@ -85,6 +85,13 @@ class TestCl2:
         b = cl2_series_reference(t, ctx50, terms=512)
         assert abs(a - b) < ctx50.pow10(-45)
 
+    def test_series_reference_near_multiple_of_two_pi_raises_domain_error(self):
+        # The tail denominator 1 - 2 cos(t) e + e^2 rounds to 0 here.
+        ctx = PrecisionCtx(20)
+        for theta in (ctx.mpf("1e-30"), 2 * ctx.pi - ctx.mpf("1e-30")):
+            with pytest.raises(DomainError, match="too close to a multiple of 2pi"):
+                cl2_series_reference(theta, ctx)
+
     def test_non_finite_rejected(self, ctx50):
         with pytest.raises(DomainError):
             cl2(ctx50.inf, ctx50)

@@ -113,7 +113,7 @@ def test_interior_integrand_error_is_wrapped(ctx50):
     def bad(x):
         raise ZeroDivisionError("synthetic failure")
 
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match="ZeroDivisionError.*synthetic failure"):
         integrate(bad, (0, 1), ctx50.mpf(TOL), ctx50)
 
 
